@@ -1,0 +1,170 @@
+"""Batched chord composition of fixed points over Z3[theta] mod 3^K.
+
+An element a + b*theta is held as a pair of int64 arrays of residues in
+[0, 3^K).  This is the capped-absolute precision model of p-adic libraries:
+the modulus is the precision.  Since 3 = unit * pi^2, a residue pair fixes
+the element mod pi^(2K), so any valuation below 2K is read exactly and a
+residue pair of zeros means "valuation at least 2K".
+
+`chord_codes` runs `chord` followed by `normalize(r, 3, margin=3)` on many
+pairs of points at once and returns the code (`form_code`) of each
+canonical form.  A cell whose result the residues cannot certify, or that
+the exact path would reject, gets code -1; the caller composes it on the
+exact `RingElt` path instead.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Sequence
+from functools import lru_cache
+
+import numpy as np
+
+from .eisenstein import DigitVector, RingElt, invert, to_digits
+from .surface import CanonicalForm, ProjPoint
+
+K = 19
+MOD = 3**K
+# `_mul` adds two products of residues in [0, MOD) before reducing; the sum
+# must stay below 2^63.  K = 19 is the largest K for which it does.
+if 2 * (MOD - 1) ** 2 >= 2**63:
+    raise AssertionError(f"residue products mod 3^{K} overflow int64")
+
+# Cells per block: keeps the temporaries of one block near 1 MB.
+BLOCK = 1024
+
+_POW3 = 3 ** np.arange(K + 1, dtype=np.int64)
+# The chord's margin rule: normalize(r, 3, margin=3) needs prec - vmin >= 6.
+_DIGITS = 3
+_MARGIN = 3
+
+
+def _mul(x, y, mod: int = MOD):
+    """(a + b*theta)(c + d*theta) = (ac - bd) + (ad + bc - bd)*theta."""
+    (a, b), (c, d) = x, y
+    bd = b * d % mod
+    return (a * c - bd) % mod, (a * d + b * c - bd) % mod
+
+
+def _times_theta(x):
+    a, b = x
+    return -b % MOD, (a - b) % MOD
+
+
+def _nu(x) -> np.ndarray:
+    """pi-adic valuation of residue pairs, capped at 2K.
+
+    With 3^t = gcd(a, b, 3^K), nu = 2t, plus 1 when a/3^t + b/3^t = 0 mod 3
+    (the pair is then divisible by pi but not by 3)."""
+    a, b = x
+    g = np.gcd(np.gcd(a, b), MOD)
+    t = np.searchsorted(_POW3, g)
+    odd = (a // g + b // g) % 3 == 0
+    return np.minimum(2 * t + odd, 2 * K)
+
+
+def _digit_code(d: DigitVector) -> int:
+    return sum((digit + 1) * 3**k for k, digit in enumerate(d.digits))
+
+
+def form_code(form: CanonicalForm) -> int:
+    """Integer code of a canonical form mod pi^3: four digit codes in base
+    27, then the pivot."""
+    code = sum(_digit_code(d) * 27**k for k, d in enumerate(form.coords))
+    return code + 27**4 * form.pivot
+
+
+@lru_cache(maxsize=1)
+def _residue_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indexed by 9a + b for a + b*theta mod 9 (= mod pi^4): the code of its
+    first three digits, and for units a, b of an inverse mod pi^3."""
+    digits = np.zeros(81, dtype=np.int64)
+    inv_a = np.zeros(81, dtype=np.int64)
+    inv_b = np.zeros(81, dtype=np.int64)
+    for a in range(9):
+        for b in range(9):
+            x = RingElt(a, b)
+            digits[9 * a + b] = _digit_code(to_digits(x, _DIGITS))
+            if (a + b) % 3:
+                w = invert(x, _DIGITS)
+                inv_a[9 * a + b], inv_b[9 * a + b] = w.a % 9, w.b % 9
+    return digits, inv_a, inv_b
+
+
+def _pi_shifts() -> tuple[np.ndarray, np.ndarray]:
+    """(2 + theta)^v mod 3^K for v = 0..K; pi * (2 + theta) = 3, so
+    x / pi^v = x * (2 + theta)^v / 3^v."""
+    powers = [(1, 0)]
+    for _ in range(K):
+        powers.append(_mul(powers[-1], (2, 1)))
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*powers))
+
+
+_SHIFT_A, _SHIFT_B = _pi_shifts()
+
+
+def to_pairs(points: Sequence[ProjPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of the points as (a, b) residue arrays of shape (n, 4)."""
+    a = np.array([[c.a % MOD for c in p.coords] for p in points], dtype=np.int64)
+    b = np.array([[c.b % MOD for c in p.coords] for p in points], dtype=np.int64)
+    return a, b
+
+
+def chord_codes(
+    pairs: tuple[np.ndarray, np.ndarray], i: np.ndarray, j: np.ndarray, prec: int
+) -> np.ndarray:
+    """`form_code` of normalize(chord(p_i, p_j), 3, margin=3) for every cell
+    (i[k], j[k]) of points of precision `prec`, or -1 where a guard fails.
+
+    The guards are the exact path's, at the effective precision
+    min(prec, 2K), plus one of the residues' own: a cell is refused when
+    min(nu(A), nu(B)) >= prec - 3 (chord), when prec - vmin < 3 + 3
+    (normalize), or when dividing by pi^vmin would leave less than the
+    mod-pi^4 residue (vmin > K - 2)."""
+    prec = min(prec, 2 * K)
+    i, j = np.asarray(i), np.asarray(j)
+    out = np.empty(len(i), dtype=np.int64)
+    for start in range(0, len(i), BLOCK):
+        sl = slice(start, start + BLOCK)
+        out[sl] = _block_codes(pairs, i[sl], j[sl], prec)
+    return out
+
+
+def _block_codes(pairs, i, j, prec: int) -> np.ndarray:
+    pa, pb = pairs[0][i], pairs[1][i]
+    qa, qb = pairs[0][j], pairs[1][j]
+    # A = sum c_k p_k^2 q_k, B = sum c_k p_k q_k^2 with c = (1, 1, 1, theta).
+    pq = _mul((pa, pb), (qa, qb))
+    ta, tb = _mul(pq, (pa, pb))
+    ua, ub = _mul(pq, (qa, qb))
+    ta[:, 3], tb[:, 3] = _times_theta((ta[:, 3], tb[:, 3]))
+    ua[:, 3], ub[:, 3] = _times_theta((ua[:, 3], ub[:, 3]))
+    A = ta.sum(axis=1) % MOD, tb.sum(axis=1) % MOD
+    B = ua.sum(axis=1) % MOD, ub.sum(axis=1) % MOD
+    # R = B*p - A*q
+    bp = _mul((B[0][:, None], B[1][:, None]), (pa, pb))
+    aq = _mul((A[0][:, None], A[1][:, None]), (qa, qb))
+    ra, rb = (bp[0] - aq[0]) % MOD, (bp[1] - aq[1]) % MOD
+    vals = _nu((ra, rb))
+    vmin = vals.min(axis=1)
+    # With integral coordinates vmin >= min(nu(A), nu(B)), so the normalize
+    # guard implies the chord guard; both are kept, as on the exact path.
+    ok = (
+        (np.minimum(_nu(A), _nu(B)) < prec - 3)
+        & (prec - vmin >= _DIGITS + _MARGIN)
+        & (vmin <= K - 2)
+    )
+    v = np.where(ok, vmin, 0)
+    # Divide every coordinate by pi^v: times (2 + theta)^v, then exactly by
+    # 3^v.  The quotient is known mod 3^(K - v), at least mod 9.
+    ca, cb = _mul((ra, rb), (_SHIFT_A[v][:, None], _SHIFT_B[v][:, None]))
+    ca, cb = ca // _POW3[v][:, None] % 9, cb // _POW3[v][:, None] % 9
+    # The pivot is the first coordinate of valuation vmin, a unit after the
+    # division; multiply by its inverse and read three digits.
+    pivot = np.argmax(vals == vmin[:, None], axis=1)
+    rows = np.arange(len(i))
+    digits, inv_a, inv_b = _residue_tables()
+    w = ca[rows, pivot] * 9 + cb[rows, pivot]
+    da, db = _mul((ca, cb), (inv_a[w][:, None], inv_b[w][:, None]), 9)
+    codes = digits[da * 9 + db] @ (27 ** np.arange(4, dtype=np.int64))
+    return np.where(ok, codes + 27**4 * pivot, -1)

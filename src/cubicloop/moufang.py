@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import kernel
 from .eisenstein import PrecisionExhausted
 from .surface import (
     DEFAULT_PRECISION,
@@ -63,23 +64,36 @@ def class_of_point(p: ProjPoint) -> int:
     return class_of_form(normalize(p, 3))
 
 
-@dataclass(frozen=True)
-class ClassId:
-    id: int
-    params: LambdaParams
+@lru_cache(maxsize=1)
+def _code_index() -> tuple[np.ndarray, np.ndarray]:
+    """Sorted `kernel.form_code`s of the 243 forms, and their class ids."""
+    codes = np.array([kernel.form_code(form) for form in class_forms()], dtype=np.int64)
+    order = np.argsort(codes)
+    return codes[order], order
 
 
-def class_id(k: int) -> ClassId:
-    return ClassId(k, class_params()[k])
+def classes_of_codes(codes: np.ndarray) -> np.ndarray:
+    """Class ids of an array of `kernel.form_code`s; KeyError names the
+    first code that is no class's, as `class_of_form` does for a form."""
+    sorted_codes, order = _code_index()
+    pos = np.minimum(np.searchsorted(sorted_codes, codes), N_CLASSES - 1)
+    missing = sorted_codes[pos] != codes
+    if missing.any():
+        raise KeyError(f"form code not on the surface: {codes[np.argmax(missing)]}")
+    return order[pos]
 
 
 @dataclass
 class ClassTable:
-    """243x243 table of the symmetric composition S1 o S2."""
+    """243x243 table of the symmetric composition S1 o S2.
+
+    exact_cells counts the cells composed on the exact path
+    (`compose_classes`) rather than by the batched kernel."""
 
     circ: np.ndarray
     precision: int
     seed: int
+    exact_cells: int = 0
 
 
 @dataclass
@@ -123,7 +137,8 @@ def compose_classes(
     """Class of the chord through representatives of classes i and j.
 
     Equal classes (or an explicit seed pair) use two random lifts; retries
-    at doubled precision on precision exhaustion, bounded by MAX_PRECISION."""
+    at doubled precision, bounded by MAX_PRECISION, on precision exhaustion
+    or coincident points (which also redraw the random lifts)."""
     params = class_params()
     if seed_pair is None and i == j:
         seed_pair = (0, 1)
@@ -137,10 +152,14 @@ def compose_classes(
             r, _trace = chord(p, q)
             return class_of_form(normalize(r, 3, margin=3))
         except PointsCoincide:
-            # the two random lifts collided beyond pi^3; redraw
+            # The points agree to the working precision.  Fixed
+            # representatives of distinct classes, and any two points of one
+            # class at low precision, only separate at a higher one; two
+            # random lifts that drew the same digits need a redraw.
             bump += 1
             if bump > 16:
                 raise
+            work = min(2 * work, MAX_PRECISION)
         except PrecisionExhausted:
             if work >= MAX_PRECISION:
                 raise
@@ -155,21 +174,26 @@ def build_class_table(
 ) -> ClassTable:
     """Build the full o-table and spot-check admissibility.
 
-    For `admissibility_cells` random cells, `lift_samples` extra random
-    representative pairs are composed and must land in the same class."""
-    params = class_params()
-    reps = [lift_representative(lp, n) for lp in params]
+    Cells of distinct classes are composed on fixed representatives by the
+    batched kernel; those it refuses, and the diagonal, go through the
+    exact `compose_classes`.  For `admissibility_cells` random cells,
+    `lift_samples` extra random representative pairs are composed and must
+    land in the same class."""
+    reps = [lift_representative(lp, n) for lp in class_params()]
+    iu, ju = np.triu_indices(N_CLASSES, k=1)
+    codes = kernel.chord_codes(kernel.to_pairs(reps), iu, ju, n)
+    ok = codes >= 0
+    refused = np.flatnonzero(~ok)
+    cells = np.empty(len(iu), dtype=np.int16)
+    cells[ok] = classes_of_codes(codes[ok])
+    for k in refused:
+        cells[k] = compose_classes(int(iu[k]), int(ju[k]), n)
     circ = np.empty((N_CLASSES, N_CLASSES), dtype=np.int16)
+    circ[iu, ju] = cells
+    circ[ju, iu] = cells
     for i in range(N_CLASSES):
-        for j in range(i, N_CLASSES):
-            if i == j:
-                cid = compose_classes(i, i, n, seed_pair=(2 * seed, 2 * seed + 1))
-            else:
-                r, _trace = chord(reps[i], reps[j])
-                cid = class_of_form(normalize(r, 3, margin=3))
-            circ[i, j] = cid
-            circ[j, i] = cid
-    table = ClassTable(circ, n, seed)
+        circ[i, i] = compose_classes(i, i, n, seed_pair=(2 * seed, 2 * seed + 1))
+    table = ClassTable(circ, n, seed, exact_cells=len(refused) + N_CLASSES)
     if admissibility_cells > 0:
         check_admissibility(table, admissibility_cells, lift_samples, seed)
     return table

@@ -98,7 +98,6 @@ class CompositionTrace:
     chord_a: RingElt
     chord_b: RingElt
     margin: int | float
-    tau_prime: RingElt | None = None
 
 
 @dataclass(frozen=True)
@@ -419,7 +418,3 @@ def compose_parametric(lp_p: LambdaParams, lp_q: LambdaParams) -> CanonicalForm:
     r2 = (PI * y + PI2 * z) * tau - th_j + PI2 * z1 - PI * y - PI2 * z
     r3 = (-(PI * y) + PI2 * u) * tau - PI * z1 + PI2 * u1 + PI * y - PI2 * u
     return normalize(ProjPoint((r0, r1, r2, r3), 3), 3)
-
-
-def point_from_coords(coords, prec: int | None = None) -> ProjPoint:
-    return ProjPoint(tuple(coords), prec)

@@ -53,6 +53,11 @@ class TestTable:
             u = M.named_class(lp)
             assert np.array_equal(table.circ[u, table.circ[u]], np.arange(M.N_CLASSES))
 
+    def test_coincident_points_escalate(self):
+        # at precision 6 any two lifts of one class agree to the chord's
+        # threshold pi^3; only a higher precision separates them
+        assert M.compose_classes(5, 5, 6, seed_pair=(0, 1)) == 5
+
     def test_cells_reproducible(self, table):
         import random
 
