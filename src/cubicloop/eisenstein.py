@@ -1,12 +1,13 @@
 """Exact arithmetic in K = Z3[theta], theta^2 + theta + 1 = 0.
 
-Elements are stored as exact integer pairs (a, b) meaning a + b*theta.
+Elements are exact integer pairs (a, b) meaning a + b*theta.
 The uniformizer is pi = 1 - theta; it satisfies pi^2 = -3*theta and
 3 = -theta^2 * pi^2, so the extension is totally ramified with nu(3) = 2.
 
-Truncation is lazy: `prec` is metadata (the value is only claimed modulo
-pi^prec, with None meaning exact); coefficients are reduced only when a
-canonical digit expansion is requested.
+Elements carry no precision: the functions that truncate (`to_digits`,
+`reduce_mod`, `invert`, `div_exact`, `equal_mod`) take the number of
+pi-adic digits n explicitly, and the working precision of a computation
+lives on the points of `surface.ProjPoint`.
 """
 
 from __future__ import annotations
@@ -30,23 +31,14 @@ class NonIntegralQuotient(Exception):
 INFINITE = math.inf
 
 
-def _min_prec(p: int | None, q: int | None) -> int | None:
-    if p is None:
-        return q
-    if q is None:
-        return p
-    return min(p, q)
-
-
 class RingElt:
-    """a + b*theta with tracked pi-adic precision (prec=None means exact)."""
+    """a + b*theta, exact."""
 
-    __slots__ = ("a", "b", "prec")
+    __slots__ = ("a", "b")
 
-    def __init__(self, a: int, b: int = 0, prec: int | None = None):
+    def __init__(self, a: int, b: int = 0):
         self.a = a
         self.b = b
-        self.prec = prec
 
     @staticmethod
     def _coerce(x) -> "RingElt":
@@ -60,7 +52,7 @@ class RingElt:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RingElt(self.a + o.a, self.b + o.b, _min_prec(self.prec, o.prec))
+        return RingElt(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -68,13 +60,13 @@ class RingElt:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RingElt(self.a - o.a, self.b - o.b, _min_prec(self.prec, o.prec))
+        return RingElt(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
 
     def __neg__(self):
-        return RingElt(-self.a, -self.b, self.prec)
+        return RingElt(-self.a, -self.b)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -83,14 +75,14 @@ class RingElt:
         # theta^2 = -1 - theta
         a, b, c, d = self.a, self.b, o.a, o.b
         bd = b * d
-        return RingElt(a * c - bd, a * d + b * c - bd, _min_prec(self.prec, o.prec))
+        return RingElt(a * c - bd, a * d + b * c - bd)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative powers are not ring elements")
-        result = RingElt(1, 0, self.prec if n > 0 else None)
+        result = RingElt(1)
         base = self
         while n:
             if n & 1:
@@ -103,15 +95,13 @@ class RingElt:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.a == o.a and self.b == o.b and self.prec == o.prec
+        return self.a == o.a and self.b == o.b
 
     def __hash__(self):
-        return hash((self.a, self.b, self.prec))
+        return hash((self.a, self.b))
 
     def __repr__(self):
-        if self.prec is None:
-            return f"RingElt({self.a}, {self.b})"
-        return f"RingElt({self.a}, {self.b}, prec={self.prec})"
+        return f"RingElt({self.a}, {self.b})"
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -122,7 +112,7 @@ class RingElt:
 
     def conj(self) -> "RingElt":
         """Galois conjugate a + b*theta^2 = (a - b) - b*theta."""
-        return RingElt(self.a - self.b, -self.b, self.prec)
+        return RingElt(self.a - self.b, -self.b)
 
 
 ZERO = RingElt(0)
@@ -141,30 +131,10 @@ def _v3(n: int) -> int:
 
 
 def nu(x: RingElt) -> int | float:
-    """Raw pi-adic valuation, ignoring precision metadata."""
+    """pi-adic valuation, INFINITE for zero."""
     if x.is_zero():
         return INFINITE
     return _v3(x.norm())
-
-
-@dataclass(frozen=True)
-class Valuation:
-    """nu(x), or INFINITE; below_precision marks a truncated value whose
-    raw valuation reached its precision bound."""
-
-    value: int | float
-    below_precision: bool = False
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value == INFINITE
-
-
-def valuation(x: RingElt) -> Valuation:
-    raw = nu(x)
-    if x.prec is not None and raw >= x.prec:
-        return Valuation(x.prec, below_precision=True)
-    return Valuation(raw)
 
 
 @dataclass(frozen=True)
@@ -191,17 +161,12 @@ def divide_by_pi(x: RingElt) -> RingElt:
     if (x.a + x.b) % 3 != 0:
         raise NonIntegralQuotient(f"{x!r} is not divisible by pi")
     # x * (2 + theta) = (2a - b) + (a + b) theta, then divide by 3.
-    prec = None if x.prec is None else x.prec - 1
-    if prec is not None and prec < 0:
-        raise PrecisionExhausted("dividing by pi below known precision")
-    return RingElt((2 * x.a - x.b) // 3, (x.a + x.b) // 3, prec)
+    return RingElt((2 * x.a - x.b) // 3, (x.a + x.b) // 3)
 
 
 def to_digits(x: RingElt, n: int) -> DigitVector:
-    if x.prec is not None and x.prec < n:
-        raise PrecisionExhausted(f"need {n} digits, have precision {x.prec}")
     digits = []
-    cur = RingElt(x.a, x.b)
+    cur = x
     for _ in range(n):
         d = _balanced_residue(cur)
         digits.append(d)
@@ -213,11 +178,11 @@ def from_digits(d: DigitVector) -> RingElt:
     acc = ZERO
     for digit in reversed(d.digits):
         acc = acc * PI + digit
-    return RingElt(acc.a, acc.b, len(d.digits))
+    return acc
 
 
 def reduce_mod(x: RingElt, n: int) -> RingElt:
-    """Canonical balanced representative of x mod pi^n, with prec = n."""
+    """Canonical balanced representative of x mod pi^n."""
     return from_digits(to_digits(x, n))
 
 
@@ -225,13 +190,11 @@ def invert(x: RingElt, n: int) -> RingElt:
     """y with x*y = 1 mod pi^n.  Exact for the six units of K itself."""
     if nu(x) != 0:
         raise NonUnitInverse(f"nu({x!r}) > 0")
-    if x.prec is not None and x.prec < n:
-        raise PrecisionExhausted(f"inverting to {n} digits needs precision {n}")
     norm = x.norm()
     c = x.conj()
     if norm == 1:
         # +-1, +-theta, +-theta^2: the inverse is the conjugate exactly.
-        return RingElt(c.a, c.b, x.prec)
+        return c
     # x^{-1} = conj(x)/N(x); invert the norm 3-adically.  3^m = unit * pi^{2m}.
     m = n // 2 + 1
     mod = 3**m
@@ -250,23 +213,12 @@ def div_exact(x: RingElt, y: RingElt, n: int) -> RingElt:
     for _ in range(vy):
         num = divide_by_pi(num)
         den = divide_by_pi(den)
-    out_prec = _min_prec(x.prec, y.prec)
-    if out_prec is not None:
-        out_prec -= vy
-        if out_prec < 1:
-            raise PrecisionExhausted("quotient retains no precision")
     if den.norm() == 1:
-        q = num * den.conj()
-        return RingElt(q.a, q.b, out_prec)
-    target = n if out_prec is None else min(n, out_prec)
-    if target < 1:
+        return num * den.conj()
+    if n < 1:
         raise PrecisionExhausted("quotient retains no precision")
-    q = num * invert(RingElt(den.a, den.b), target)
-    return reduce_mod(q, target)
+    return reduce_mod(num * invert(den, n), n)
 
 
 def equal_mod(x: RingElt, y: RingElt, n: int) -> bool:
-    p = _min_prec(x.prec, y.prec)
-    if p is not None and p < n:
-        raise PrecisionExhausted(f"comparison mod pi^{n} with precision {p}")
     return nu(x - y) >= n

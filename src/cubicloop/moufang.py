@@ -121,8 +121,6 @@ class LoopReport:
     nucleus: tuple[int, ...]
     witness_count: int
     witnesses: list[tuple[int, int, int]]
-    admissibility_pass: int
-    admissibility_fail: int
 
 
 def _rep(lp: LambdaParams, n: int, seed: int | None) -> ProjPoint:
@@ -176,9 +174,11 @@ def build_class_table(
 
     Cells of distinct classes are composed on fixed representatives by the
     batched kernel; those it refuses, and the diagonal, go through the
-    exact `compose_classes`.  For `admissibility_cells` random cells,
-    `lift_samples` extra random representative pairs are composed and must
-    land in the same class."""
+    exact `compose_classes`.  They start at doubled precision: the kernel
+    refuses exactly the cells that fail at n, and two lifts of one class
+    are near-tangent (at n = 12 every diagonal cell fails at n).  For
+    `admissibility_cells` random cells, `lift_samples` extra random
+    representative pairs are composed and must land in the same class."""
     reps = [lift_representative(lp, n) for lp in class_params()]
     iu, ju = np.triu_indices(N_CLASSES, k=1)
     codes = kernel.chord_codes(kernel.to_pairs(reps), iu, ju, n)
@@ -186,13 +186,14 @@ def build_class_table(
     refused = np.flatnonzero(~ok)
     cells = np.empty(len(iu), dtype=np.int16)
     cells[ok] = classes_of_codes(codes[ok])
+    exact_n = min(2 * n, MAX_PRECISION)
     for k in refused:
-        cells[k] = compose_classes(int(iu[k]), int(ju[k]), n)
+        cells[k] = compose_classes(int(iu[k]), int(ju[k]), exact_n)
     circ = np.empty((N_CLASSES, N_CLASSES), dtype=np.int16)
     circ[iu, ju] = cells
     circ[ju, iu] = cells
     for i in range(N_CLASSES):
-        circ[i, i] = compose_classes(i, i, n, seed_pair=(2 * seed, 2 * seed + 1))
+        circ[i, i] = compose_classes(i, i, exact_n, seed_pair=(2 * seed, 2 * seed + 1))
     table = ClassTable(circ, n, seed, exact_cells=len(refused) + N_CLASSES)
     if admissibility_cells > 0:
         check_admissibility(table, admissibility_cells, lift_samples, seed)
@@ -429,12 +430,7 @@ def witness_sides(t: ClassTable, l: LoopTable) -> tuple[tuple[int, int, int], in
     return (x, y, z), left, right
 
 
-def build_report(
-    t: ClassTable,
-    l: LoopTable,
-    admissibility: tuple[int, int] = (0, 0),
-    witness_limit: int = 10,
-) -> LoopReport:
+def build_report(t: ClassTable, l: LoopTable, witness_limit: int = 10) -> LoopReport:
     mask = associator_mask(l)
     return LoopReport(
         order=N_CLASSES,
@@ -442,6 +438,4 @@ def build_report(
         nucleus=tuple(sorted(nucleus(l))),
         witness_count=int(mask.sum()),
         witnesses=find_nonassoc(l, witness_limit),
-        admissibility_pass=admissibility[0],
-        admissibility_fail=admissibility[1],
     )

@@ -57,17 +57,12 @@ class HenselCriterionFailed(Exception):
 @dataclass(frozen=True)
 class ProjPoint:
     """Projective 4-tuple on (or near) V; prec is the working precision,
-    i.e. the tuple agrees with a true surface point to about pi^prec."""
+    i.e. the tuple agrees with a true surface point to about pi^prec
+    (None: exactly).  The coordinates themselves are exact; this is the
+    only place where precision is tracked."""
 
     coords: tuple[RingElt, RingElt, RingElt, RingElt]
     prec: int | None = None
-
-    def effective_prec(self) -> int | None:
-        p = self.prec
-        for c in self.coords:
-            if c.prec is not None:
-                p = c.prec if p is None else min(p, c.prec)
-        return p
 
 
 @dataclass(frozen=True)
@@ -127,10 +122,7 @@ class LambdaParams:
 
 def eval_form(p: ProjPoint) -> RingElt:
     t0, t1, t2, t3 = p.coords
-    val = t0**3 + t1**3 + t2**3 + THETA * t3**3
-    if p.prec is not None and (val.prec is None or val.prec > p.prec):
-        val = RingElt(val.a, val.b, p.prec)
-    return val
+    return t0**3 + t1**3 + t2**3 + THETA * t3**3
 
 
 def _capped_nu(x: RingElt, prec: int | None) -> int | float:
@@ -141,21 +133,21 @@ def _capped_nu(x: RingElt, prec: int | None) -> int | float:
 
 
 def normalize(p: ProjPoint, n: int = 3, margin: int = 0) -> CanonicalForm:
-    prec = p.effective_prec()
+    prec = p.prec
     vals = [_capped_nu(c, prec) for c in p.coords]
     vmin = min(vals)
     if vmin == INFINITE or (prec is not None and vmin >= prec):
         raise PrecisionExhausted("no coordinate with valuation below precision")
     coords = list(p.coords)
     for _ in range(int(vmin)):
-        coords = [divide_by_pi(RingElt(c.a, c.b)) for c in coords]
+        coords = [divide_by_pi(c) for c in coords]
     rem = None if prec is None else prec - int(vmin)
     if rem is not None and rem < n + margin:
         raise PrecisionExhausted(
             f"normalized precision {rem} below requested {n}+{margin}"
         )
     pivot = next(i for i, v in enumerate(vals) if v == vmin)
-    w = invert(RingElt(coords[pivot].a, coords[pivot].b), n)
+    w = invert(coords[pivot], n)
     digits = tuple(to_digits(c * w, n) for c in coords)
     return CanonicalForm(digits, pivot)
 
@@ -174,10 +166,7 @@ def chord(p: ProjPoint, q: ProjPoint) -> tuple[ProjPoint, CompositionTrace]:
 
     Uses the homogeneous Vieta form R = B*p - A*q with A = sum c_i p_i^2 q_i
     and B = sum c_i p_i q_i^2 (the common factor 3 dropped projectively)."""
-    prec = p.effective_prec()
-    qprec = q.effective_prec()
-    if qprec is not None:
-        prec = qprec if prec is None else min(prec, qprec)
+    prec = min((x for x in (p.prec, q.prec) if x is not None), default=None)
     work = prec if prec is not None else DEFAULT_PRECISION
     a = sum((c * pc * pc * qc for c, pc, qc in zip(FORM_COEFFS, p.coords, q.coords)), ZERO)
     b = sum((c * pc * qc * qc for c, pc, qc in zip(FORM_COEFFS, p.coords, q.coords)), ZERO)
@@ -203,7 +192,7 @@ def chord(p: ProjPoint, q: ProjPoint) -> tuple[ProjPoint, CompositionTrace]:
 
 def tangent_section_point(p: ProjPoint, d: tuple[RingElt, ...]) -> ProjPoint:
     """Third intersection of the tangent line at p in direction d."""
-    prec = p.effective_prec()
+    prec = p.prec
     work = prec if prec is not None else DEFAULT_PRECISION
     l1 = sum((c * pc * pc * di for c, pc, di in zip(FORM_COEFFS, p.coords, d)), ZERO)
     if nu(l1) < work:
@@ -239,7 +228,7 @@ def _clamp(x: RingElt, n: int) -> RingElt:
         a -= mod
     if b > mod // 2:
         b -= mod
-    return RingElt(a, b, x.prec)
+    return RingElt(a, b)
 
 
 def hensel_lift_root(g: list[RingElt], y0: RingElt, n: int) -> RingElt:
@@ -251,15 +240,14 @@ def hensel_lift_root(g: list[RingElt], y0: RingElt, n: int) -> RingElt:
     s = nu(_poly_eval(g, y0))
     if t == INFINITE or s <= 2 * t:
         raise HenselCriterionFailed(f"nu(g(y0))={s} not > 2*nu(g'(y0))={2 * t}")
-    y = RingElt(y0.a, y0.b)
+    y = y0
     work = n + 2 * int(t) + 4
     for _ in range(80):
         fy = _poly_eval(g, y)
         if nu(fy) >= n:
             return y
         dfy = _poly_eval(dg, y)
-        delta = div_exact(fy, dfy, work)
-        y = _clamp(RingElt(y.a - delta.a, y.b - delta.b), work)
+        y = _clamp(y - div_exact(fy, dfy, work), work)
     raise PrecisionExhausted("Newton iteration did not converge")
 
 
@@ -327,7 +315,7 @@ def _solve_hensel_coordinate(
             raise HenselCriterionFailed(
                 f"lifting equation coefficient {coeff!r} not divisible by pi^4"
             )
-        v = RingElt(coeff.a, coeff.b)
+        v = coeff
         for _ in range(4):
             v = divide_by_pi(v)
         ghat.append(v)

@@ -58,6 +58,21 @@ class TestTable:
         # threshold pi^3; only a higher precision separates them
         assert M.compose_classes(5, 5, 6, seed_pair=(0, 1)) == 5
 
+    def test_diagonal_lifts_once_at_doubled_precision(self, table, monkeypatch):
+        # two lifts per diagonal cell, none of them thrown away at n = 12
+        calls = []
+        random_lift = M.random_lift
+
+        def counted(lp, n, seed):
+            calls.append(n)
+            return random_lift(lp, n, seed)
+
+        monkeypatch.setattr(M, "random_lift", counted)
+        t = M.build_class_table(12, admissibility_cells=0, seed=5)
+        assert len(calls) == 2 * M.N_CLASSES
+        assert set(calls) == {24}
+        assert np.array_equal(t.circ, table.circ)
+
     def test_cells_reproducible(self, table):
         import random
 
@@ -143,8 +158,8 @@ class TestCorruption:
 
 class TestReport:
     def test_build_report(self, table, loop):
-        report = M.build_report(table, loop, (123, 0))
+        report = M.build_report(table, loop)
         assert report.order == M.N_CLASSES
         assert report.exponent == 3
         assert report.witness_count > 0
-        assert report.admissibility_pass == 123
+        assert len(report.witnesses) == 10

@@ -91,6 +91,39 @@ class TestNormalize:
             normalize(ProjPoint(U0.coords, 2), 3)
 
 
+class TestPointPrecision:
+    """Coordinates are exact; the point's prec is the only precision, and
+    these are the guards that read it."""
+
+    def test_valuation_is_capped_at_the_point_precision(self):
+        coords = (PI**3, PI**4, ZERO, PI**5)
+        assert normalize(ProjPoint(coords), 1).pivot == 0
+        with pytest.raises(PrecisionExhausted):
+            normalize(ProjPoint(coords, 3), 1)
+
+    def test_form_point_refuses_deeper_digits(self):
+        form = canonical_form(all_params()[100])
+        p = form.as_point()
+        assert p.prec == form.depth == 3
+        assert normalize(p, 3) == form
+        with pytest.raises(PrecisionExhausted):
+            normalize(p, 4)
+        with pytest.raises(PrecisionExhausted):
+            form.truncate(4)
+
+    def test_chord_works_at_the_lower_precision(self):
+        params = all_params()
+        p = lift_representative(params[40], 12)
+        q = lift_representative(params[150], 8)
+        r, trace = chord(p, q)
+        assert r.prec == chord(q, p)[0].prec == 8
+        vmin = min(nu(c) for c in r.coords)
+        assert trace.margin == 8 - vmin - 3
+        normalize(r, 3, margin=trace.margin)
+        with pytest.raises(PrecisionExhausted):
+            normalize(r, 3, margin=trace.margin + 1)
+
+
 class TestChord:
     def test_swap_on_u0(self):
         r, trace = chord(U0, U1)
@@ -122,7 +155,7 @@ class TestChord:
                 r, _ = chord(p, q)
             except (PointsCoincide, PrecisionExhausted):
                 continue
-            assert oracles.check_on_surface(r.coords, r.effective_prec())
+            assert oracles.check_on_surface(r.coords, r.prec)
 
     def test_symmetry_and_involution(self):
         rng = random.Random(23)
