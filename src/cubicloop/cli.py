@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import random
 import sys
 from dataclasses import dataclass
 
@@ -26,6 +25,7 @@ from .moufang import (
     ch_check,
     class_forms,
     class_params,
+    eckhardt_check,
     loop_from,
     named_class,
     nucleus,
@@ -43,7 +43,6 @@ from .surface import (
     eval_form,
     lift_representative,
     normalize,
-    random_lift,
 )
 
 
@@ -166,26 +165,6 @@ def _check(name: str, ok: bool, detail: str = "") -> None:
         raise VerificationFailure(name)
 
 
-def _eckhardt_suite(cfg: Config, samples: int = 50) -> None:
-    swaps = {"P": (1, 0, 2, 3), "Q": (2, 1, 0, 3), "R": (0, 2, 1, 3)}
-    rng = random.Random(f"eckhardt-cli:{cfg.seed}")
-    params = class_params()
-    for family in "PQR":
-        u_lp = LambdaParams(family, 0, (0, 0, 0))
-        u = lift_representative(u_lp, cfg.precision)
-        perm = swaps[family]
-        for _ in range(samples):
-            lp = params[rng.randrange(moufang.N_CLASSES)]
-            pt = random_lift(lp, cfg.precision, rng.randrange(1 << 30))
-            if normalize(pt, 3) == normalize(u, 3):
-                continue
-            r, _ = chord(u, pt)
-            swapped = ProjPoint(tuple(pt.coords[i] for i in perm), pt.prec)
-            if normalize(r, 3) != normalize(swapped, 3):
-                _check(f"eckhardt swap U_{family}", False)
-        _check(f"eckhardt swap U_{family} ({samples} samples)", True)
-
-
 def cmd_verify(args, cfg: Config) -> int:
     suite = args.suite
     needs_table = suite in ("all", "quasigroup", "cml", "admissibility", "witness", "ch")
@@ -220,7 +199,9 @@ def cmd_verify(args, cfg: Config) -> int:
         rep = ch_check(t, samples=200, seed=cfg.seed)
         _check(rep.name, rep.passed, f"({rep.checks} triples)")
     if suite in ("all", "eckhardt"):
-        _eckhardt_suite(cfg)
+        rep = eckhardt_check(50, cfg.seed, cfg.precision)
+        detail = f"({rep.checks} swaps)" if rep.passed else f"at {rep.counterexample}"
+        _check(rep.name, rep.passed, detail)
     if suite == "all":
         report = build_report(t, l)
         print(

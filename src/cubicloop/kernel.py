@@ -6,10 +6,12 @@ the modulus is the precision.  Since 3 = unit * pi^2, a residue pair fixes
 the element mod pi^(2K), so any valuation below 2K is read exactly and a
 residue pair of zeros means "valuation at least 2K".
 
+`lift_pairs` runs `lift_representative` or `random_lift` on many classes
+at once, solving the Hensel coordinate by Newton's method on the residues.
 `chord_codes` runs `chord` followed by `normalize(r, 3, margin=3)` on many
 pairs of points at once and returns the code (`form_code`) of each
-canonical form.  A cell whose result the residues cannot certify, or that
-the exact path would reject, gets code -1; the caller composes it on the
+canonical form.  A lift or cell whose result the residues cannot certify,
+or that the exact path would reject, is refused; the caller takes it to the
 exact `RingElt` path instead.
 """
 
@@ -20,8 +22,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .eisenstein import DigitVector, RingElt, invert, to_digits
-from .surface import CanonicalForm, ProjPoint
+from .eisenstein import PI, DigitVector, RingElt, invert, to_digits
+from .surface import (
+    FREE_INDICES,
+    HENSEL_INDEX,
+    CanonicalForm,
+    ProjPoint,
+    all_params,
+    lift_digits,
+    residue_tuple,
+)
 
 K = 19
 MOD = 3**K
@@ -46,9 +56,24 @@ def _mul(x, y, mod: int = MOD):
     return (a * c - bd) % mod, (a * d + b * c - bd) % mod
 
 
+def _add(x, y):
+    return (x[0] + y[0]) % MOD, (x[1] + y[1]) % MOD
+
+
 def _times_theta(x):
     a, b = x
     return -b % MOD, (a - b) % MOD
+
+
+def _unit_inverse(x):
+    """Inverse of units a + b*theta: conj(x) / N(x), with 1/N by the integer
+    Newton step y <- y(2 - N*y), which doubles the correct digits of y."""
+    a, b = x
+    norm = (a * a % MOD - a * b % MOD + b * b % MOD) % MOD
+    y = norm % 3  # N = +-1 mod 3 is its own inverse mod 3
+    for _ in range((K - 1).bit_length()):
+        y = y * ((2 - norm * y) % MOD) % MOD
+    return (a - b) * y % MOD, -b * y % MOD
 
 
 def _nu(x) -> np.ndarray:
@@ -108,6 +133,94 @@ def to_pairs(points: Sequence[ProjPoint]) -> tuple[np.ndarray, np.ndarray]:
     a = np.array([[c.a % MOD for c in p.coords] for p in points], dtype=np.int64)
     b = np.array([[c.b % MOD for c in p.coords] for p in points], dtype=np.int64)
     return a, b
+
+
+def to_points(pairs: tuple[np.ndarray, np.ndarray], prec: int) -> list[ProjPoint]:
+    """Points of precision `prec` whose coordinates are the residues."""
+    return [
+        ProjPoint(tuple(RingElt(int(a), int(b)) for a, b in zip(ra, rb)), prec)
+        for ra, rb in zip(*pairs)
+    ]
+
+
+# The lift guard reads nu(F) on the residues, which fix F mod pi^(2K): below
+# 2K exactly, and as "at least 2K" from a pair of zeros.  So it certifies
+# nu(F) >= n for n up to 2K and no further.
+MAX_LIFT_PRECISION = 2 * K
+# The class's own tuple has nu(F) >= 5 (the Hensel criterion, since
+# nu(F') = nu(3x^2) = 2), and a Newton step takes nu(F) = v to at least
+# min(2v - 2, 2K): 5, 8, 14, 26, 50.  Four steps reach 2K.
+_HENSEL_CRITERION = 5
+_NEWTON_STEPS = 4
+
+
+@lru_cache(maxsize=1)
+def _class_data():
+    """Per class: its label, the residues of its tuple mod pi^3, its Hensel
+    and free coordinate indices; and the residues of pi^3 and pi^4."""
+    params = tuple(all_params())
+    a, b = to_pairs([ProjPoint(residue_tuple(lp)) for lp in params])
+    hensel = np.array([HENSEL_INDEX[lp.family] for lp in params])
+    free = np.array([FREE_INDICES[lp.family] for lp in params])
+    pi3 = PI * PI * PI
+    pi4 = pi3 * PI
+    bumps = tuple((x.a % MOD, x.b % MOD) for x in (pi3, pi4))
+    return params, a, b, hensel, free, bumps
+
+
+def lift_pairs(
+    classes: Sequence[int], seeds: Sequence[int] | None, n: int
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """Residue pairs (a, b), each of shape (m, 4), of `random_lift(lp, n,
+    seed)` for each class and seed, or of `lift_representative(lp, n)` when
+    `seeds` is None; and the mask of the lifts the residues certify.
+
+    The free coordinates are the exact path's, from the same digits.  The
+    Hensel coordinate x agrees with the exact path's mod pi^(n - 2), where
+    the root is unique.  A lift is refused when n > MAX_LIFT_PRECISION, when
+    the class tuple fails the Hensel criterion, or when Newton's method
+    leaves nu(F) < n."""
+    params, base_a, base_b, hensel, free, (pi3, pi4) = _class_data()
+    classes = np.asarray(classes, dtype=np.int64)
+    m = len(classes)
+    a, b = base_a[classes], base_b[classes]
+    if n > MAX_LIFT_PRECISION:
+        return (a, b), np.zeros(m, dtype=bool)
+    rows = np.arange(m)
+    if seeds is not None:
+        digits = np.array(
+            [
+                lift_digits(params[c], n, s)
+                for c, s in zip(classes.tolist(), np.asarray(seeds).tolist())
+            ],
+            dtype=np.int64,
+        ).reshape(m, 2, 4)
+        for k in range(2):
+            d = digits[:, k]
+            bump = _add(_mul((d[:, 0], d[:, 1]), pi3), _mul((d[:, 2], d[:, 3]), pi4))
+            cols = free[classes, k]
+            a[rows, cols], b[rows, cols] = _add((a[rows, cols], b[rows, cols]), bump)
+    # F = x^3 + rest with x the Hensel coordinate (index 1 or 2, whose
+    # form coefficient is 1) and rest the sum of c_j t_j^3 over the others.
+    h = hensel[classes]
+    ca, cb = _mul(_mul((a, b), (a, b)), (a, b))
+    ca[:, 3], cb[:, 3] = _times_theta((ca[:, 3], cb[:, 3]))
+    ca[rows, h] = cb[rows, h] = 0
+    rest = ca.sum(axis=1) % MOD, cb.sum(axis=1) % MOD
+    x = a[rows, h], b[rows, h]
+    for step in range(_NEWTON_STEPS + 1):
+        x2 = _mul(x, x)
+        f = _add(_mul(x2, x), rest)
+        v = _nu(f)
+        if step == 0:
+            criterion = v >= _HENSEL_CRITERION
+        if step == _NEWTON_STEPS or np.all(v >= n):
+            break
+        # x <- x - F / (3 x^2); nu(F) >= 2 makes F / 3 exact, known mod 3^(K-1).
+        dx = _mul((f[0] // 3, f[1] // 3), _unit_inverse(x2))
+        x = (x[0] - dx[0]) % MOD, (x[1] - dx[1]) % MOD
+    a[rows, h], b[rows, h] = x
+    return (a, b), criterion & (v >= n)
 
 
 def chord_codes(

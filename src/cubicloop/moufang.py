@@ -73,14 +73,15 @@ def _code_index() -> tuple[np.ndarray, np.ndarray]:
 
 
 def classes_of_codes(codes: np.ndarray) -> np.ndarray:
-    """Class ids of an array of `kernel.form_code`s; KeyError names the
-    first code that is no class's, as `class_of_form` does for a form."""
+    """Class ids of an array of `kernel.form_code`s, -1 for the kernel's
+    refusals (-1); KeyError names the first other code that is no class's,
+    as `class_of_form` does for a form."""
     sorted_codes, order = _code_index()
     pos = np.minimum(np.searchsorted(sorted_codes, codes), N_CLASSES - 1)
-    missing = sorted_codes[pos] != codes
+    missing = (sorted_codes[pos] != codes) & (codes >= 0)
     if missing.any():
         raise KeyError(f"form code not on the surface: {codes[np.argmax(missing)]}")
-    return order[pos]
+    return np.where(codes >= 0, order[pos], -1)
 
 
 @dataclass
@@ -123,20 +124,25 @@ class LoopReport:
     witnesses: list[tuple[int, int, int]]
 
 
-def _rep(lp: LambdaParams, n: int, seed: int | None) -> ProjPoint:
-    if seed is None:
-        return lift_representative(lp, n)
-    return random_lift(lp, n, seed)
+def _seeds(seed_pair: tuple[int, int], attempt: int) -> tuple[int, int]:
+    """Seeds of the two random lifts in attempt `attempt` of `compose_classes`."""
+    s0, s1 = seed_pair
+    return s0 + attempt, s1 + 1000003 * (attempt + 1)
 
 
 def compose_classes(
-    i: int, j: int, n: int = DEFAULT_PRECISION, seed_pair: tuple[int, int] | None = None
+    i: int,
+    j: int,
+    n: int = DEFAULT_PRECISION,
+    seed_pair: tuple[int, int] | None = None,
+    reps: dict[int, ProjPoint] | None = None,
 ) -> int:
     """Class of the chord through representatives of classes i and j.
 
     Equal classes (or an explicit seed pair) use two random lifts; retries
     at doubled precision, bounded by MAX_PRECISION, on precision exhaustion
-    or coincident points (which also redraw the random lifts)."""
+    or coincident points (which also redraw the random lifts).  `reps` may
+    map classes to fixed representatives already lifted at n."""
     params = class_params()
     if seed_pair is None and i == j:
         seed_pair = (0, 1)
@@ -144,9 +150,14 @@ def compose_classes(
     bump = 0
     while True:
         try:
-            s0, s1 = seed_pair if seed_pair is not None else (None, None)
-            p = _rep(params[i], work, None if s0 is None else s0 + bump)
-            q = _rep(params[j], work, None if s1 is None else s1 + 1000003 * (bump + 1))
+            if seed_pair is not None:
+                s0, s1 = _seeds(seed_pair, bump)
+                p, q = random_lift(params[i], work, s0), random_lift(params[j], work, s1)
+            elif work == n and reps and i in reps and j in reps:
+                p, q = reps[i], reps[j]
+            else:
+                p = lift_representative(params[i], work)
+                q = lift_representative(params[j], work)
             r, _trace = chord(p, q)
             return class_of_form(normalize(r, 3, margin=3))
         except PointsCoincide:
@@ -164,6 +175,20 @@ def compose_classes(
             work = min(2 * work, MAX_PRECISION)
 
 
+def _compose_random_lifts(
+    i: np.ndarray, j: np.ndarray, seed_pairs: np.ndarray, n: int
+) -> np.ndarray:
+    """Per row, the kernel's class for the first attempt of
+    `compose_classes(i, j, n, seed_pair)`, or -1 where it refuses a lift
+    or the chord."""
+    s0, s1 = _seeds(seed_pairs.T, 0)
+    m = len(i)
+    pairs, lifted = kernel.lift_pairs(np.concatenate([i, j]), np.concatenate([s0, s1]), n)
+    p, q = np.arange(m), np.arange(m, 2 * m)
+    codes = kernel.chord_codes(pairs, p, q, n)
+    return np.where(lifted[p] & lifted[q], classes_of_codes(codes), -1)
+
+
 def build_class_table(
     n: int = DEFAULT_PRECISION,
     lift_samples: int = 20,
@@ -172,29 +197,39 @@ def build_class_table(
 ) -> ClassTable:
     """Build the full o-table and spot-check admissibility.
 
-    Cells of distinct classes are composed on fixed representatives by the
-    batched kernel; those it refuses, and the diagonal, go through the
-    exact `compose_classes`.  They start at doubled precision: the kernel
-    refuses exactly the cells that fail at n, and two lifts of one class
-    are near-tangent (at n = 12 every diagonal cell fails at n).  For
+    The batched kernel lifts the classes and composes the cells of distinct
+    classes on fixed representatives, the diagonal on two random lifts.  It
+    works the diagonal at doubled precision, where two lifts of one class
+    separate (at n = 12 every diagonal cell fails at n).  Cells it refuses
+    go to the exact `compose_classes` at doubled precision, the off-diagonal
+    ones with their representatives lifted once per build.  For
     `admissibility_cells` random cells, `lift_samples` extra random
     representative pairs are composed and must land in the same class."""
-    reps = [lift_representative(lp, n) for lp in class_params()]
+    ids = np.arange(N_CLASSES)
+    # The kernel works at min(n, 2K) = min(n, MAX_LIFT_PRECISION) anyway.
+    lift_n = min(n, kernel.MAX_LIFT_PRECISION)
+    pairs, lifted = kernel.lift_pairs(ids, None, lift_n)
     iu, ju = np.triu_indices(N_CLASSES, k=1)
-    codes = kernel.chord_codes(kernel.to_pairs(reps), iu, ju, n)
-    ok = codes >= 0
-    refused = np.flatnonzero(~ok)
-    cells = np.empty(len(iu), dtype=np.int16)
-    cells[ok] = classes_of_codes(codes[ok])
+    codes = kernel.chord_codes(pairs, iu, ju, lift_n)
+    cells = np.where(lifted[iu] & lifted[ju], classes_of_codes(codes), -1)
+    refused = np.flatnonzero(cells < 0)
     exact_n = min(2 * n, MAX_PRECISION)
+    need = np.unique(np.concatenate([iu[refused], ju[refused]]))
+    pairs, lifted = kernel.lift_pairs(need, None, exact_n)
+    points = kernel.to_points(pairs, exact_n)
+    reps = {c: p for c, p, ok in zip(need.tolist(), points, lifted) if ok}
     for k in refused:
-        cells[k] = compose_classes(int(iu[k]), int(ju[k]), exact_n)
+        cells[k] = compose_classes(int(iu[k]), int(ju[k]), exact_n, reps=reps)
+    seed_pair = (2 * seed, 2 * seed + 1)
+    diag = _compose_random_lifts(ids, ids, np.tile(seed_pair, (N_CLASSES, 1)), exact_n)
+    refused_diag = np.flatnonzero(diag < 0)
+    for c in refused_diag:
+        diag[c] = compose_classes(int(c), int(c), exact_n, seed_pair=seed_pair)
     circ = np.empty((N_CLASSES, N_CLASSES), dtype=np.int16)
     circ[iu, ju] = cells
     circ[ju, iu] = cells
-    for i in range(N_CLASSES):
-        circ[i, i] = compose_classes(i, i, exact_n, seed_pair=(2 * seed, 2 * seed + 1))
-    table = ClassTable(circ, n, seed, exact_cells=len(refused) + N_CLASSES)
+    circ[ids, ids] = diag
+    table = ClassTable(circ, n, seed, exact_cells=len(refused) + len(refused_diag))
     if admissibility_cells > 0:
         check_admissibility(table, admissibility_cells, lift_samples, seed)
     return table
@@ -205,22 +240,30 @@ def check_admissibility(
 ) -> tuple[int, int]:
     """Re-derive sampled cells from independent random lifts.
 
-    Any mismatch raises AdmissibilityViolation; returns (passes, fails)."""
+    All samples are composed in the kernel at once; those it refuses go to
+    the exact `compose_classes`.  The first mismatch, in the order the
+    samples are drawn, raises AdmissibilityViolation; returns
+    (passes, fails)."""
     rng = random.Random(f"admissibility:{seed}")
-    passes = 0
+    draws = []
     for _ in range(cells):
         i = rng.randrange(N_CLASSES)
         j = rng.randrange(N_CLASSES)
-        expected = int(table.circ[i, j])
-        for s in range(samples_per_cell):
-            pair = (rng.randrange(1 << 30), rng.randrange(1 << 30))
-            got = compose_classes(i, j, table.precision, seed_pair=pair)
-            if got != expected:
-                raise AdmissibilityViolation(
-                    f"cell ({i},{j}) sample {s}: got class {got}, table says {expected}"
-                )
-            passes += 1
-    return passes, 0
+        for _ in range(samples_per_cell):
+            draws.append((i, j, rng.randrange(1 << 30), rng.randrange(1 << 30)))
+    draws = np.array(draws, dtype=np.int64).reshape(-1, 4)
+    i, j = draws[:, 0], draws[:, 1]
+    got = _compose_random_lifts(i, j, draws[:, 2:], table.precision)
+    expected = table.circ[i, j]
+    for k, (a, b, s0, s1) in enumerate(draws.tolist()):
+        if got[k] < 0:
+            got[k] = compose_classes(a, b, table.precision, seed_pair=(s0, s1))
+        if got[k] != expected[k]:
+            raise AdmissibilityViolation(
+                f"cell ({a},{b}) sample {k % samples_per_cell}: "
+                f"got class {int(got[k])}, table says {int(expected[k])}"
+            )
+    return len(draws), 0
 
 
 def verify_quasigroup(t: ClassTable) -> CheckReport:
@@ -376,6 +419,30 @@ def ch_check(
                 )
         checks += 1
     return CheckReport("ch-closure abelian", True, checks)
+
+
+def eckhardt_check(samples: int, seed: int, n: int = DEFAULT_PRECISION) -> CheckReport:
+    """For each family's unit class U0, U1, U2 (lifted at n), the chord
+    through it and a random lift of another class equals that lift with two
+    coordinates swapped, mod pi^3; `samples` random lifts per family.  The
+    counterexample is (family, class, lift seed)."""
+    rng = random.Random(f"eckhardt:{seed}")
+    params = class_params()
+    checks = 0
+    for unit_lp, perm in ((U0, (1, 0, 2, 3)), (U1, (2, 1, 0, 3)), (U2, (0, 2, 1, 3))):
+        unit, u = named_class(unit_lp), lift_representative(unit_lp, n)
+        stop = checks + samples
+        while checks < stop:
+            c, s = rng.randrange(N_CLASSES), rng.randrange(1 << 30)
+            if c == unit:
+                continue
+            pt = random_lift(params[c], n, s)
+            swapped = ProjPoint(tuple(pt.coords[k] for k in perm), pt.prec)
+            if normalize(chord(u, pt)[0], 3) != normalize(swapped, 3):
+                failure = (unit_lp.family, c, s)
+                return CheckReport("eckhardt swaps", False, checks, failure)
+            checks += 1
+    return CheckReport("eckhardt swaps", True, checks)
 
 
 def subloop(l: LoopTable, gens: set[int]) -> set[int]:

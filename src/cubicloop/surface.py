@@ -283,7 +283,7 @@ def residue_tuple(lp: LambdaParams) -> tuple[RingElt, RingElt, RingElt, RingElt]
     )
 
 
-_HENSEL_INDEX = {"P": 1, "Q": 2, "R": 2}
+HENSEL_INDEX = {"P": 1, "Q": 2, "R": 2}
 
 
 def canonical_form(lp: LambdaParams) -> CanonicalForm:
@@ -325,24 +325,30 @@ def _solve_hensel_coordinate(
 
 def lift_representative(lp: LambdaParams, n: int = DEFAULT_PRECISION) -> ProjPoint:
     coords = list(residue_tuple(lp))
-    idx = _HENSEL_INDEX[lp.family]
+    idx = HENSEL_INDEX[lp.family]
     coords[idx] = _solve_hensel_coordinate(coords, idx, lp.exp, lp.coupled_sign, n)
     return ProjPoint(tuple(coords), n)
 
 
-_FREE_INDICES = {"P": (2, 3), "Q": (1, 3), "R": (0, 3)}
+FREE_INDICES = {"P": (2, 3), "Q": (1, 3), "R": (0, 3)}
+
+
+def lift_digits(lp: LambdaParams, n: int, seed: int) -> list[int]:
+    """The digits `random_lift` draws: for each free coordinate in turn,
+    a, b of the bump (a + b*theta)*pi^3, then a, b of the pi^4 bump."""
+    rng = random.Random(f"{lp.family}:{lp.exp}:{lp.digits}:{n}:{seed}")
+    return [rng.randrange(-1, 2) for _ in range(8)]
 
 
 def random_lift(lp: LambdaParams, n: int, seed: int) -> ProjPoint:
     """A point on V in the class of lp whose free coordinates carry
     seed-dependent digits at levels pi^3 and pi^4."""
-    rng = random.Random(f"{lp.family}:{lp.exp}:{lp.digits}:{n}:{seed}")
+    digits = lift_digits(lp, n, seed)
     coords = list(residue_tuple(lp))
-    for i in _FREE_INDICES[lp.family]:
-        bump = _small(rng.randrange(-1, 2), rng.randrange(-1, 2)) * PI3
-        bump = bump + _small(rng.randrange(-1, 2), rng.randrange(-1, 2)) * PI3 * PI
-        coords[i] = coords[i] + bump
-    idx = _HENSEL_INDEX[lp.family]
+    for k, i in enumerate(FREE_INDICES[lp.family]):
+        a3, b3, a4, b4 = digits[4 * k : 4 * k + 4]
+        coords[i] = coords[i] + _small(a3, b3) * PI3 + _small(a4, b4) * PI3 * PI
+    idx = HENSEL_INDEX[lp.family]
     coords[idx] = _solve_hensel_coordinate(coords, idx, lp.exp, lp.coupled_sign, n)
     return ProjPoint(tuple(coords), n)
 

@@ -154,29 +154,6 @@ def test_criterion_7_parametric_cross_check(capsys, table):
             f"closed formula = chord class on {checked} P x Q pairs")
 
 
-def _eckhardt_samples(rng, samples):
-    swaps = {"P": (1, 0, 2, 3), "Q": (2, 1, 0, 3), "R": (0, 2, 1, 3)}
-    params = M.class_params()
-    checked = 0
-    for family, u_lp in (("P", M.U0), ("Q", M.U1), ("R", M.U2)):
-        u = S.lift_representative(u_lp, 12)
-        u_form = normalize(u, 3)
-        perm = swaps[family]
-        done = 0
-        while done < samples:
-            lp = params[rng.randrange(M.N_CLASSES)]
-            pt = random_lift(lp, 12, rng.randrange(1 << 30))
-            if normalize(pt, 3) == u_form:
-                continue
-            r, _ = chord(u, pt)
-            swapped = ProjPoint(tuple(pt.coords[i] for i in perm), pt.prec)
-            if normalize(r, 3) != normalize(swapped, 3):
-                return checked, False
-            done += 1
-            checked += 1
-    return checked, True
-
-
 def _tangent_samples(rng, points, per_point):
     params = [lp for lp in M.class_params() if lp.digits != (0, 0, 0) or lp.exp != 0]
     checked = 0
@@ -234,17 +211,19 @@ def _case3_samples(rng, samples):
 def test_criterion_8_geometry_properties(capsys):
     t0 = time.monotonic()
     rng = random.Random("acceptance-geometry")
-    eck_n, eck_ok = _eckhardt_samples(rng, 500)
+    eck = M.eckhardt_check(500, seed=0)
     tan_n, tan_ok = _tangent_samples(rng, points=20, per_point=5)
     c3_n, c3_ok = _case3_samples(rng, samples=34)
-    ok = eck_ok and tan_ok and c3_ok and eck_n == 1500 and tan_n >= 100 and c3_n >= 100
+    ok = eck.passed and eck.checks == 1500
+    ok = ok and tan_ok and c3_ok and tan_n >= 100 and c3_n >= 100
     elapsed = time.monotonic() - t0
+    failure = "" if eck.passed else f" (fails at {eck.counterexample})"
     _report(
         capsys,
         8,
         ok,
         elapsed,
-        f"Eckhardt swaps {eck_n}, tangent contractions {tan_n}, "
+        f"Eckhardt swaps {eck.checks}{failure}, tangent contractions {tan_n}, "
         f"near-pair contractions {c3_n}",
     )
 

@@ -1,9 +1,12 @@
 """Composition-table structure and the loop-theoretic verification suites."""
 
+import random
+
 import numpy as np
 import pytest
 
 import cubicloop.moufang as M
+from cubicloop import kernel
 from cubicloop.eisenstein import ONE, PI, THETA, ZERO
 from cubicloop.surface import ProjPoint, normalize
 
@@ -59,23 +62,32 @@ class TestTable:
         assert M.compose_classes(5, 5, 6, seed_pair=(0, 1)) == 5
 
     def test_diagonal_lifts_once_at_doubled_precision(self, table, monkeypatch):
-        # two lifts per diagonal cell, none of them thrown away at n = 12
-        calls = []
-        random_lift = M.random_lift
+        # one batch of two lifts per diagonal cell at n = 24; at seed 1 the
+        # kernel refuses cells 87 and 170, and only they lift on the exact path
+        batches, calls = [], []
+        lift_pairs, random_lift = kernel.lift_pairs, M.random_lift
+
+        def counted_batch(classes, seeds, n):
+            if seeds is not None:
+                batches.append((list(classes), list(seeds), n))
+            return lift_pairs(classes, seeds, n)
 
         def counted(lp, n, seed):
-            calls.append(n)
+            calls.append((M.class_params().index(lp), n))
             return random_lift(lp, n, seed)
 
+        monkeypatch.setattr(kernel, "lift_pairs", counted_batch)
         monkeypatch.setattr(M, "random_lift", counted)
-        t = M.build_class_table(12, admissibility_cells=0, seed=5)
-        assert len(calls) == 2 * M.N_CLASSES
-        assert set(calls) == {24}
+        t = M.build_class_table(12, admissibility_cells=0, seed=1)
+        ids = list(range(M.N_CLASSES))
+        seeds = [2] * M.N_CLASSES + [3 + 1000003] * M.N_CLASSES
+        assert batches == [(ids + ids, seeds, 24)]
+        assert {c for c, _ in calls} == {87, 170}
+        assert {n for _, n in calls} <= {24, 48}
+        assert t.exact_cells == 2
         assert np.array_equal(t.circ, table.circ)
 
     def test_cells_reproducible(self, table):
-        import random
-
         rng = random.Random(3)
         for _ in range(8):
             i, j = rng.randrange(M.N_CLASSES), rng.randrange(M.N_CLASSES)
@@ -154,6 +166,15 @@ class TestCorruption:
         bad = M.ClassTable((table.circ + 1) % M.N_CLASSES, table.precision, table.seed)
         with pytest.raises(M.AdmissibilityViolation):
             M.check_admissibility(bad, 2, 1, 0)
+
+
+    def test_eckhardt_check_names_the_first_failure(self, monkeypatch):
+        # a chord that returns its second point swaps nothing
+        monkeypatch.setattr(M, "chord", lambda p, q: (q, None))
+        report = M.eckhardt_check(5, seed=0)
+        rng = random.Random("eckhardt:0")
+        first = ("P", rng.randrange(M.N_CLASSES), rng.randrange(1 << 30))
+        assert (report.passed, report.checks, report.counterexample) == (False, 0, first)
 
 
 class TestReport:
