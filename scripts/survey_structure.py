@@ -18,17 +18,6 @@ import numpy as np
 import cubicloop.moufang as M
 
 
-def element_orders(loop) -> Counter:
-    orders = Counter()
-    for x in range(M.N_CLASSES):
-        y, order = x, 1
-        while y != loop.unit:
-            y = int(loop.mul[y, x])
-            order += 1
-        orders[order] += 1
-    return orders
-
-
 def subloop_size_distribution(loop, rng, samples: int, gens: int) -> Counter:
     sizes = Counter()
     for _ in range(samples):
@@ -64,7 +53,7 @@ def main(argv=None) -> int:
     table = M.build_class_table(args.precision, admissibility_cells=0)
     loop = M.loop_from(table, M.named_class(M.U0))
 
-    print("element orders:", dict(sorted(element_orders(loop).items())))
+    print("element orders:", dict(sorted(Counter(M.element_orders(loop)).items())))
     for gens in (1, 2, 3):
         dist = subloop_size_distribution(loop, rng, args.samples, gens)
         print(f"subloop sizes from {gens} random generators:", dict(sorted(dist.items())))

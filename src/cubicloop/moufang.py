@@ -115,15 +115,6 @@ class CheckReport:
     detail: str = ""
 
 
-@dataclass
-class LoopReport:
-    order: int
-    exponent: int
-    nucleus: tuple[int, ...]
-    witness_count: int
-    witnesses: list[tuple[int, int, int]]
-
-
 def _seeds(seed_pair: tuple[int, int], attempt: int) -> tuple[int, int]:
     """Seeds of the two random lifts in attempt `attempt` of `compose_classes`."""
     s0, s1 = seed_pair
@@ -135,14 +126,12 @@ def compose_classes(
     j: int,
     n: int = DEFAULT_PRECISION,
     seed_pair: tuple[int, int] | None = None,
-    reps: dict[int, ProjPoint] | None = None,
 ) -> int:
     """Class of the chord through representatives of classes i and j.
 
     Equal classes (or an explicit seed pair) use two random lifts; retries
     at doubled precision, bounded by MAX_PRECISION, on precision exhaustion
-    or coincident points (which also redraw the random lifts).  `reps` may
-    map classes to fixed representatives already lifted at n."""
+    or coincident points (which also redraw the random lifts)."""
     params = class_params()
     if seed_pair is None and i == j:
         seed_pair = (0, 1)
@@ -153,8 +142,6 @@ def compose_classes(
             if seed_pair is not None:
                 s0, s1 = _seeds(seed_pair, bump)
                 p, q = random_lift(params[i], work, s0), random_lift(params[j], work, s1)
-            elif work == n and reps and i in reps and j in reps:
-                p, q = reps[i], reps[j]
             else:
                 p = lift_representative(params[i], work)
                 q = lift_representative(params[j], work)
@@ -175,18 +162,41 @@ def compose_classes(
             work = min(2 * work, MAX_PRECISION)
 
 
-def _compose_random_lifts(
-    i: np.ndarray, j: np.ndarray, seed_pairs: np.ndarray, n: int
-) -> np.ndarray:
-    """Per row, the kernel's class for the first attempt of
-    `compose_classes(i, j, n, seed_pair)`, or -1 where it refuses a lift
-    or the chord."""
-    s0, s1 = _seeds(seed_pairs.T, 0)
-    m = len(i)
-    pairs, lifted = kernel.lift_pairs(np.concatenate([i, j]), np.concatenate([s0, s1]), n)
-    p, q = np.arange(m), np.arange(m, 2 * m)
-    codes = kernel.chord_codes(pairs, p, q, n)
-    return np.where(lifted[p] & lifted[q], classes_of_codes(codes), -1)
+def compose_cells(
+    i: np.ndarray, j: np.ndarray, n: int, seed_pairs: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """Per cell k, the class `compose_classes(i[k], j[k], n, seed_pairs[k])`
+    (fixed representatives when `seed_pairs` is None), and how many cells
+    went to `compose_classes`.
+
+    The kernel lifts the points and composes every cell.  As
+    `compose_classes` does on PrecisionExhausted, the cells it refuses are
+    retried at doubled precision with the same seeds, while the kernel can
+    certify lifts there; the cells still refused go to `compose_classes` at
+    the last precision tried."""
+    i, j = np.asarray(i), np.asarray(j)
+    if seed_pairs is None:
+        # indexed by class id; the kernel works at min(n, 2K) anyway
+        lift_n = min(n, kernel.MAX_LIFT_PRECISION)
+        pairs, lifted = kernel.lift_pairs(np.arange(N_CLASSES), None, lift_n)
+        p, q = i, j
+    else:
+        s0, s1 = _seeds(seed_pairs.T, 0)
+        pairs, lifted = kernel.lift_pairs(
+            np.concatenate([i, j]), np.concatenate([s0, s1]), n
+        )
+        p, q = np.arange(len(i)), np.arange(len(i), 2 * len(i))
+    codes = classes_of_codes(kernel.chord_codes(pairs, p, q, n))
+    cells = np.where(lifted[p] & lifted[q], codes, -1)
+    todo = np.flatnonzero(cells < 0)
+    if len(todo) and 2 * n <= kernel.MAX_LIFT_PRECISION:
+        rest = None if seed_pairs is None else seed_pairs[todo]
+        cells[todo], exact = compose_cells(i[todo], j[todo], 2 * n, rest)
+        return cells, exact
+    for k in todo.tolist():
+        pair = None if seed_pairs is None else tuple(seed_pairs[k].tolist())
+        cells[k] = compose_classes(int(i[k]), int(j[k]), n, pair)
+    return cells, len(todo)
 
 
 def build_class_table(
@@ -197,39 +207,21 @@ def build_class_table(
 ) -> ClassTable:
     """Build the full o-table and spot-check admissibility.
 
-    The batched kernel lifts the classes and composes the cells of distinct
-    classes on fixed representatives, the diagonal on two random lifts.  It
-    works the diagonal at doubled precision, where two lifts of one class
-    separate (at n = 12 every diagonal cell fails at n).  Cells it refuses
-    go to the exact `compose_classes` at doubled precision, the off-diagonal
-    ones with their representatives lifted once per build.  For
-    `admissibility_cells` random cells, `lift_samples` extra random
+    The cells of distinct classes are composed on fixed representatives at
+    n, the diagonal on two random lifts at doubled precision, where two
+    lifts of one class separate (at n = 12 every diagonal cell fails at n).
+    For `admissibility_cells` random cells, `lift_samples` extra random
     representative pairs are composed and must land in the same class."""
-    ids = np.arange(N_CLASSES)
-    # The kernel works at min(n, 2K) = min(n, MAX_LIFT_PRECISION) anyway.
-    lift_n = min(n, kernel.MAX_LIFT_PRECISION)
-    pairs, lifted = kernel.lift_pairs(ids, None, lift_n)
     iu, ju = np.triu_indices(N_CLASSES, k=1)
-    codes = kernel.chord_codes(pairs, iu, ju, lift_n)
-    cells = np.where(lifted[iu] & lifted[ju], classes_of_codes(codes), -1)
-    refused = np.flatnonzero(cells < 0)
-    exact_n = min(2 * n, MAX_PRECISION)
-    need = np.unique(np.concatenate([iu[refused], ju[refused]]))
-    pairs, lifted = kernel.lift_pairs(need, None, exact_n)
-    points = kernel.to_points(pairs, exact_n)
-    reps = {c: p for c, p, ok in zip(need.tolist(), points, lifted) if ok}
-    for k in refused:
-        cells[k] = compose_classes(int(iu[k]), int(ju[k]), exact_n, reps=reps)
-    seed_pair = (2 * seed, 2 * seed + 1)
-    diag = _compose_random_lifts(ids, ids, np.tile(seed_pair, (N_CLASSES, 1)), exact_n)
-    refused_diag = np.flatnonzero(diag < 0)
-    for c in refused_diag:
-        diag[c] = compose_classes(int(c), int(c), exact_n, seed_pair=seed_pair)
+    cells, exact = compose_cells(iu, ju, n)
+    ids = np.arange(N_CLASSES)
+    seed_pairs = np.tile((2 * seed, 2 * seed + 1), (N_CLASSES, 1))
+    diag, exact_diag = compose_cells(ids, ids, min(2 * n, MAX_PRECISION), seed_pairs)
     circ = np.empty((N_CLASSES, N_CLASSES), dtype=np.int16)
     circ[iu, ju] = cells
     circ[ju, iu] = cells
     circ[ids, ids] = diag
-    table = ClassTable(circ, n, seed, exact_cells=len(refused) + len(refused_diag))
+    table = ClassTable(circ, n, seed, exact_cells=exact + exact_diag)
     if admissibility_cells > 0:
         check_admissibility(table, admissibility_cells, lift_samples, seed)
     return table
@@ -238,12 +230,9 @@ def build_class_table(
 def check_admissibility(
     table: ClassTable, cells: int, samples_per_cell: int, seed: int
 ) -> tuple[int, int]:
-    """Re-derive sampled cells from independent random lifts.
-
-    All samples are composed in the kernel at once; those it refuses go to
-    the exact `compose_classes`.  The first mismatch, in the order the
-    samples are drawn, raises AdmissibilityViolation; returns
-    (passes, fails)."""
+    """Re-derive sampled cells from independent random lifts, all composed
+    at once.  The first mismatch, in the order the samples are drawn,
+    raises AdmissibilityViolation; returns (passes, fails)."""
     rng = random.Random(f"admissibility:{seed}")
     draws = []
     for _ in range(cells):
@@ -253,16 +242,15 @@ def check_admissibility(
             draws.append((i, j, rng.randrange(1 << 30), rng.randrange(1 << 30)))
     draws = np.array(draws, dtype=np.int64).reshape(-1, 4)
     i, j = draws[:, 0], draws[:, 1]
-    got = _compose_random_lifts(i, j, draws[:, 2:], table.precision)
+    got, _ = compose_cells(i, j, table.precision, draws[:, 2:])
     expected = table.circ[i, j]
-    for k, (a, b, s0, s1) in enumerate(draws.tolist()):
-        if got[k] < 0:
-            got[k] = compose_classes(a, b, table.precision, seed_pair=(s0, s1))
-        if got[k] != expected[k]:
-            raise AdmissibilityViolation(
-                f"cell ({a},{b}) sample {k % samples_per_cell}: "
-                f"got class {int(got[k])}, table says {int(expected[k])}"
-            )
+    bad = np.flatnonzero(got != expected)
+    if len(bad):
+        k = int(bad[0])
+        raise AdmissibilityViolation(
+            f"cell ({i[k]},{j[k]}) sample {k % samples_per_cell}: "
+            f"got class {got[k]}, table says {expected[k]}"
+        )
     return len(draws), 0
 
 
@@ -318,9 +306,9 @@ def verify_cml(l: LoopTable) -> list[CheckReport]:
     return reports
 
 
-def exponent(l: LoopTable) -> int:
-    """Least e with x^e = unit for all x; asserted to divide 6."""
-    e = 1
+def element_orders(l: LoopTable) -> list[int]:
+    """Order of every element; asserted to be at most 6."""
+    orders = []
     for x in range(N_CLASSES):
         y = x
         order = 1
@@ -329,7 +317,13 @@ def exponent(l: LoopTable) -> int:
             order += 1
             if order > 6:
                 raise AssertionError(f"element {x} has order above 6")
-        e = math.lcm(e, order)
+        orders.append(order)
+    return orders
+
+
+def exponent(l: LoopTable) -> int:
+    """Least e with x^e = unit for all x; asserted to divide 6."""
+    e = math.lcm(*element_orders(l))
     if 6 % e != 0:
         raise AssertionError(f"exponent {e} does not divide 6")
     return e
@@ -495,14 +489,3 @@ def witness_sides(t: ClassTable, l: LoopTable) -> tuple[tuple[int, int, int], in
     ):
         raise AssertionError("association sides inconsistent with the loop table")
     return (x, y, z), left, right
-
-
-def build_report(t: ClassTable, l: LoopTable, witness_limit: int = 10) -> LoopReport:
-    mask = associator_mask(l)
-    return LoopReport(
-        order=N_CLASSES,
-        exponent=exponent(l),
-        nucleus=tuple(sorted(nucleus(l))),
-        witness_count=int(mask.sum()),
-        witnesses=find_nonassoc(l, witness_limit),
-    )

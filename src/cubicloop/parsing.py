@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 
-from .eisenstein import PI, THETA, DigitVector, RingElt, from_digits
+from .eisenstein import PI, THETA, DigitVector, RingElt
 
 
 class ParseError(Exception):
@@ -122,31 +122,3 @@ def format_digits(d: DigitVector) -> str:
         else:
             parts.append(f"{sign}p^{i}")
     return "".join(parts) or "0"
-
-
-def format_element(x: RingElt, n: int) -> str:
-    from .eisenstein import to_digits
-
-    return format_digits(to_digits(x, n))
-
-
-def parse_digits(text: str) -> DigitVector:
-    """Parse the serialized canonical form `[d0,d1,...]` (d0 first)."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("digit sequence must be bracketed")
-    body = text[1:-1].strip()
-    if not body:
-        return DigitVector(())
-    digits = tuple(int(part) for part in body.split(","))
-    if any(d not in (-1, 0, 1) for d in digits):
-        raise ParseError("digits must lie in {-1,0,1}")
-    return DigitVector(digits)
-
-
-def format_digit_list(d: DigitVector) -> str:
-    return "[" + ",".join(str(x) for x in d.digits) + "]"
-
-
-def element_from_digit_list(text: str) -> RingElt:
-    return from_digits(parse_digits(text))

@@ -122,3 +122,8 @@ class TestVerifySuites:
     def test_quasigroup_suite(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "quasigroup")
         assert code == 0 and "PASS symmetric quasigroup" in out
+
+    def test_all_suites(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "all")
+        assert code == 0
+        assert out.splitlines()[-1] == "order=243 exponent=3 |nucleus|=9 witnesses=8188128"

@@ -128,25 +128,42 @@ def serial_violation(table, cells, samples, seed):
 def test_refused_lift_comes_back_from_the_exact_path(table, monkeypatch):
     lift_pairs = kernel.lift_pairs
     calls = []
+    draws = list(admissibility_draws(10, 7, 3))
+    # the first class of the second and fifth sampled cells
+    refused = {draws[7][0], draws[28][0]}
 
     def refuse_some(classes, seeds, n):
         pairs, ok = lift_pairs(classes, seeds, n)
-        ok[::7] = False
+        ok[np.isin(classes, list(refused))] = False
         return pairs, ok
 
     def counted(i, j, n, seed_pair):
-        calls.append((i, j, seed_pair))
+        calls.append((i, j, n, seed_pair))
         return compose_classes(i, j, n, seed_pair)
 
     compose_classes = M.compose_classes
     monkeypatch.setattr(kernel, "lift_pairs", refuse_some)
     monkeypatch.setattr(M, "compose_classes", counted)
     assert M.check_admissibility(table, 10, 7, 3) == (70, 0)
-    draws = list(admissibility_draws(10, 7, 3))
-    # sample k pairs lifts k and 70 + k; every seventh lift is refused
-    refused = {k for k in range(70) if k % 7 == 0 or (70 + k) % 7 == 0}
-    want = [(i, j, pair) for k, (i, j, _, pair) in enumerate(draws) if k in refused]
+    # refused at 12 and again at 24, the last precision the kernel lifts at
+    want = [(i, j, 24, pair) for i, j, _, pair in draws if {i, j} & refused]
+    assert 14 <= len(want) < 70
     assert calls == want
+
+
+def test_same_class_samples_stay_in_the_kernel(table, monkeypatch):
+    # seed 4 draws the cell (74, 74), whose samples are near-tangent at 12
+    assert (74, 74, 0) in [(i, j, s) for i, j, s, _ in admissibility_draws(50, 20, 4)]
+    compose_classes = M.compose_classes
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return compose_classes(*args, **kw)
+
+    monkeypatch.setattr(M, "compose_classes", counted)
+    assert M.check_admissibility(table, 50, 20, 4) == (1000, 0)
+    assert calls == []
 
 
 def test_corrupted_table_fails_on_the_serial_first_sample(table):
@@ -193,8 +210,11 @@ def test_random_lifts_match_compose_classes(i, j, s0, s1):
         want = None
     # same-class pairs are near-tangent: the guard refuses what the exact path does
     assert got == (-1 if want is None else want)
+    exact = M.compose_classes(i, j, 12, (s0, s1))
     if i != j:
-        assert got == M.compose_classes(i, j, 12, (s0, s1))
+        assert got == exact
+    cells, _ = M.compose_cells([i], [j], 12, np.array([[s0, s1]]))
+    assert cells.tolist() == [exact]
 
 
 def test_guards_refuse_exactly_what_the_exact_path_refuses():
@@ -211,20 +231,32 @@ def test_guards_refuse_exactly_what_the_exact_path_refuses():
 
 def test_refused_cell_comes_back_from_the_exact_path(table, monkeypatch):
     chord_codes = kernel.chord_codes
+    calls = []
 
     def refuse_one(pairs, i, j, prec):
+        # fixed representatives are indexed by class id
         codes = chord_codes(pairs, i, j, prec)
         codes[(i == 22) & (j == 94)] = -1
         return codes
 
+    def counted(i, j, n, seed_pair):
+        calls.append((i, j, n, seed_pair))
+        return compose_classes(i, j, n, seed_pair)
+
+    compose_classes = M.compose_classes
     monkeypatch.setattr(kernel, "chord_codes", refuse_one)
+    monkeypatch.setattr(M, "compose_classes", counted)
     t = M.build_class_table(12, admissibility_cells=0)
+    # refused at 12 and again at 24, the last precision the kernel lifts at
+    assert calls == [(22, 94, 24, None)]
     assert t.exact_cells == 1
     assert np.array_equal(t.circ, table.circ)
 
 
-# At n = 6 the diagonal's two lifts at 12 are near-tangent in every class.
-@pytest.mark.parametrize("n, exact_cells", [(6, 9963), (8, 982), (10, 243), (11, 0)])
+# Cells the kernel refuses at n are retried at 2n, the diagonal's at 4n.
+@pytest.mark.parametrize(
+    "n, exact_cells", [(6, 0), (7, 0), (8, 0), (9, 0), (10, 0), (11, 0)]
+)
 def test_low_precision_builds_equal_the_default_table(table, n, exact_cells):
     t = M.build_class_table(n, admissibility_cells=0)
     assert np.array_equal(t.circ, table.circ)
@@ -232,19 +264,22 @@ def test_low_precision_builds_equal_the_default_table(table, n, exact_cells):
 
 
 def test_low_precision_build_lifts_each_representative_once(table, monkeypatch):
-    # the 9,720 refused cells at n = 6 share 243 representatives at n = 12
+    # the 9,720 cells refused at n = 6 share 243 representatives at n = 12;
+    # the diagonal's two lifts of one class at 12 are near-tangent in every class
     lift_pairs = kernel.lift_pairs
     batches, exact = [], []
 
     def counted_batch(classes, seeds, n):
-        batches.append((len(classes), seeds is None, n))
+        batches.append((len(classes), None if seeds is None else list(seeds), n))
         return lift_pairs(classes, seeds, n)
 
     monkeypatch.setattr(kernel, "lift_pairs", counted_batch)
     monkeypatch.setattr(M, "lift_representative", lambda lp, n: exact.append(n))
     t = M.build_class_table(6, admissibility_cells=0)
     n = M.N_CLASSES
-    assert batches == [(n, True, 6), (n, True, 12), (2 * n, False, 12)]
+    # the retry keeps the first attempt's seeds, as compose_classes does
+    seeds = [0] * n + [1 + 1000003] * n
+    assert batches == [(n, None, 6), (n, None, 12), (2 * n, seeds, 12), (2 * n, seeds, 24)]
     assert exact == []
     assert np.array_equal(t.circ, table.circ)
 
@@ -255,9 +290,9 @@ def test_default_build_sends_only_the_diagonal_to_the_exact_path(table, monkeypa
     compose_classes = M.compose_classes
     calls = []
 
-    def counted(i, j, n, **kw):
+    def counted(i, j, n, seed_pair=None):
         calls.append((i, j, n))
-        return compose_classes(i, j, n, **kw)
+        return compose_classes(i, j, n, seed_pair)
 
     monkeypatch.setattr(M, "compose_classes", counted)
     t = M.build_class_table(12, admissibility_cells=0, seed=1)

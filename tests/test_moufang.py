@@ -111,6 +111,7 @@ class TestLoop:
 
     def test_exponent(self, loop):
         assert M.exponent(loop) == 3
+        assert M.element_orders(loop).count(3) == M.N_CLASSES - 1
 
     def test_nucleus(self, loop):
         members = M.nucleus(loop)
@@ -175,12 +176,3 @@ class TestCorruption:
         rng = random.Random("eckhardt:0")
         first = ("P", rng.randrange(M.N_CLASSES), rng.randrange(1 << 30))
         assert (report.passed, report.checks, report.counterexample) == (False, 0, first)
-
-
-class TestReport:
-    def test_build_report(self, table, loop):
-        report = M.build_report(table, loop)
-        assert report.order == M.N_CLASSES
-        assert report.exponent == 3
-        assert report.witness_count > 0
-        assert len(report.witnesses) == 10

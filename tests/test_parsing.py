@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from cubicloop.eisenstein import ONE, PI, THETA, DigitVector, from_digits, nu
 from cubicloop.parsing import (
     ParseError,
-    element_from_digit_list,
-    format_digit_list,
     format_digits,
-    format_element,
-    parse_digits,
     parse_element,
     parse_point,
 )
@@ -58,19 +54,3 @@ class TestFormatting:
         d = DigitVector(tuple(digits))
         x = parse_element(format_digits(d))
         assert nu(x - from_digits(d)) >= len(digits)
-
-    @given(digit_lists)
-    def test_round_trip_through_digit_list(self, digits):
-        d = DigitVector(tuple(digits))
-        assert parse_digits(format_digit_list(d)) == d
-
-    def test_format_element(self):
-        assert format_element(THETA, 3) == "1-p"
-
-    def test_element_from_digit_list(self):
-        assert element_from_digit_list("[1,-1,0]") == from_digits(DigitVector((1, -1, 0)))
-
-    @pytest.mark.parametrize("bad", ["1,0", "[2,0]", "[1;0]"])
-    def test_digit_list_rejects(self, bad):
-        with pytest.raises((ParseError, ValueError)):
-            parse_digits(bad)
