@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Survey the internal structure of the 243-class loop.
 
-Reports the order statistics, the subloop sizes generated by random pairs
-and triples, the associator distribution, and the nucleus cosets.
+Reports the subloop sizes generated by random elements, pairs and triples,
+and the loop's figures: element orders, nucleus, nucleus cosets and
+associator values.  Exits 1, naming each figure that differs from the loop's.
 
 Usage:
     python3 scripts/survey_structure.py --samples 200 --seed 0
@@ -53,20 +54,30 @@ def main(argv=None) -> int:
     table = M.build_class_table(args.precision, admissibility_cells=0)
     loop = M.loop_from(table, M.named_class(M.U0))
 
-    print("element orders:", dict(sorted(Counter(M.element_orders(loop)).items())))
     for gens in (1, 2, 3):
         dist = subloop_size_distribution(loop, rng, args.samples, gens)
         print(f"subloop sizes from {gens} random generators:", dict(sorted(dist.items())))
 
     total, values = associator_stats(loop)
     print(f"non-associative triples: {total} of {M.N_CLASSES**3}")
-    print(f"distinct associator values: {len(values)}")
 
     members = sorted(M.nucleus(loop))
-    print(f"nucleus ({len(members)}): {members}")
+    print(f"nucleus: {members}")
     cosets = {tuple(sorted(int(loop.mul[x, a]) for a in members)) for x in range(M.N_CLASSES)}
-    print(f"nucleus cosets: {len(cosets)} of size {len(members)}")
-    return 0
+
+    # the figures of the loop of order 3^5 with exponent 3 and nucleus of order 9
+    orders = dict(sorted(Counter(M.element_orders(loop)).items()))
+    figures = [
+        ("element orders", orders, {1: 1, 3: 242}),
+        ("nucleus order", len(members), 9),
+        ("nucleus cosets (count, size)", (len(cosets), *{len(c) for c in cosets}), (27, 9)),
+        ("distinct associator values", len(values), 3),
+    ]
+    for name, found, want in figures:
+        print(f"{name}: {found}")
+        if found != want:
+            print(f"figure differs: {name}, expected {want}", file=sys.stderr)
+    return int(any(found != want for _, found, want in figures))
 
 
 if __name__ == "__main__":

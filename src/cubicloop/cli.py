@@ -16,22 +16,16 @@ from dataclasses import dataclass
 from . import moufang, surface
 from .eisenstein import PrecisionExhausted, RingElt, nu, to_digits
 from .moufang import (
-    AdmissibilityViolation,
+    CheckReport,
     ClassTable,
     LoopTable,
-    associator_mask,
     build_class_table,
-    check_admissibility,
-    ch_check,
     class_forms,
     class_params,
-    eckhardt_check,
-    exponent,
     loop_from,
     named_class,
     nucleus,
-    verify_cml,
-    verify_quasigroup,
+    verify_suites,
     witness_sides,
 )
 from .parsing import ParseError, format_digits, parse_element, parse_point
@@ -47,15 +41,10 @@ from .surface import (
 )
 
 
-class VerificationFailure(Exception):
-    pass
-
-
 @dataclass
 class Config:
     precision: int = surface.DEFAULT_PRECISION
     seed: int = 0
-    lift_samples: int = 20
     out: str | None = None
     fmt: str = "json"
 
@@ -107,12 +96,13 @@ def cmd_lift(args, cfg: Config) -> int:
     return 0
 
 
-def _build(cfg: Config, admissibility_cells: int = 0) -> tuple[ClassTable, LoopTable]:
-    table = build_class_table(
-        cfg.precision, cfg.lift_samples, cfg.seed, admissibility_cells
-    )
-    loop = loop_from(table, named_class(moufang.U0))
-    return table, loop
+def _table(cfg: Config) -> ClassTable:
+    return build_class_table(cfg.precision, seed=cfg.seed, admissibility_cells=0)
+
+
+def _build(cfg: Config) -> tuple[ClassTable, LoopTable]:
+    table = _table(cfg)
+    return table, loop_from(table, named_class(moufang.U0))
 
 
 def export_table(t: ClassTable, l: LoopTable, cfg: Config) -> None:
@@ -160,60 +150,40 @@ def cmd_table(args, cfg: Config) -> int:
     return 0
 
 
-def _check(name: str, ok: bool, detail: str = "") -> None:
-    print(f"{'PASS' if ok else 'FAIL'} {name}{(' ' + detail) if detail else ''}")
-    if not ok:
-        raise VerificationFailure(name)
+def _print_reports(reports: list[CheckReport]) -> int:
+    """One PASS/FAIL line per report; a FAIL line adds its counterexample
+    and detail.  Returns the exit code: 1 if any report failed."""
+    for rep in reports:
+        line = f"{'PASS' if rep.passed else 'FAIL'} {rep.name} ({rep.checks} checks)"
+        if not rep.passed:
+            if rep.counterexample is not None:
+                line += f" at {rep.counterexample}"
+            if rep.detail:
+                line += f": {rep.detail}"
+        print(line)
+    return 0 if all(rep.passed for rep in reports) else 1
 
 
 def cmd_verify(args, cfg: Config) -> int:
-    suite = args.suite
-    needs_table = suite in ("all", "quasigroup", "cml", "admissibility", "witness", "ch")
-    t = l = None
-    if needs_table:
-        t, l = _build(cfg)
-    if suite in ("all", "quasigroup"):
-        rep = verify_quasigroup(t)
-        _check(rep.name, rep.passed, f"({rep.checks} checks)")
-    if suite in ("all", "cml"):
-        for rep in verify_cml(l):
-            _check(rep.name, rep.passed, f"({rep.checks} checks)")
-    if suite in ("all", "admissibility"):
-        cells = 500 if suite == "admissibility" else 50
-        try:
-            passes, _ = check_admissibility(t, cells, cfg.lift_samples, cfg.seed)
-        except AdmissibilityViolation as exc:
-            _check("admissibility", False, str(exc))
-        _check("admissibility", True, f"({passes} compositions)")
-    if suite in ("all", "witness"):
-        triple, left, right = witness_sides(t, l)
-        left_form = class_forms()[left]
-        right_form = class_forms()[right]
-        print(f"witness triple {triple}: (XY) o Z -> {format_form(left_form)}")
-        print(f"witness triple {triple}: X o (YZ) -> {format_form(right_form)}")
-        print(
-            f"fourth coordinates: {format_digits(left_form.coords[3])} vs "
-            f"{format_digits(right_form.coords[3])}"
-        )
-        _check("non-associative witness", left != right)
-    if suite in ("all", "ch"):
-        rep = ch_check(t, samples=200, seed=cfg.seed)
-        _check(rep.name, rep.passed, f"({rep.checks} triples)")
-    if suite in ("all", "eckhardt"):
-        rep = eckhardt_check(50, cfg.seed, cfg.precision)
-        detail = f"({rep.checks} swaps)" if rep.passed else f"at {rep.counterexample}"
-        _check(rep.name, rep.passed, detail)
-    if suite == "all":
-        print(
-            f"order={moufang.N_CLASSES} exponent={exponent(l)} "
-            f"|nucleus|={len(nucleus(l))} witnesses={int(associator_mask(l).sum())}"
-        )
-    return 0
+    reports = verify_suites(_table(cfg), named_class(moufang.U0), cfg.seed)
+    code = _print_reports(reports)
+    if code == 0:
+        print(f"order={moufang.N_CLASSES} {reports[-1].detail}")
+    return code
 
 
 def cmd_witness(args, cfg: Config) -> int:
-    args.suite = "witness"
-    return cmd_verify(args, cfg)
+    t, l = _build(cfg)
+    triple, left, right = witness_sides(t, l)
+    left_form = class_forms()[left]
+    right_form = class_forms()[right]
+    print(f"witness triple {triple}: (XY) o Z -> {format_form(left_form)}")
+    print(f"witness triple {triple}: X o (YZ) -> {format_form(right_form)}")
+    print(
+        f"fourth coordinates: {format_digits(left_form.coords[3])} vs "
+        f"{format_digits(right_form.coords[3])}"
+    )
+    return _print_reports([CheckReport("non-associative witness", left != right, 1, triple)])
 
 
 def cmd_nucleus(args, cfg: Config) -> int:
@@ -231,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--precision", type=int, default=surface.DEFAULT_PRECISION)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--lift-samples", type=int, default=20)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_enum = sub.add_parser("enumerate", help="print the canonical residue tuples")
@@ -249,12 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--out", required=True)
     p_table.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
-    p_verify = sub.add_parser("verify", help="run verification suites")
-    p_verify.add_argument(
-        "--suite",
-        choices=("all", "quasigroup", "cml", "admissibility", "witness", "ch", "eckhardt"),
-        default="all",
-    )
+    sub.add_parser("verify", help="run every verification check")
 
     sub.add_parser("witness", help="print the non-associative triple")
     sub.add_parser("nucleus", help="print the associative center")
@@ -268,7 +232,6 @@ def run(argv: list[str]) -> int:
         cfg = Config(
             precision=args.precision,
             seed=args.seed,
-            lift_samples=args.lift_samples,
             out=getattr(args, "out", None),
             fmt=getattr(args, "fmt", "json"),
         )
@@ -282,11 +245,6 @@ def run(argv: list[str]) -> int:
             "nucleus": cmd_nucleus,
         }[args.command]
         return handler(args, cfg)
-    except VerificationFailure:
-        return 1
-    except AdmissibilityViolation as exc:
-        print(f"admissibility violation: {exc}", file=sys.stderr)
-        return 1
     except (
         ParseError,
         ValueError,

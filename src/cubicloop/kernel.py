@@ -135,14 +135,6 @@ def to_pairs(points: Sequence[ProjPoint]) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def to_points(pairs: tuple[np.ndarray, np.ndarray], prec: int) -> list[ProjPoint]:
-    """Points of precision `prec` whose coordinates are the residues."""
-    return [
-        ProjPoint(tuple(RingElt(int(a), int(b)) for a, b in zip(ra, rb)), prec)
-        for ra, rb in zip(*pairs)
-    ]
-
-
 # The lift guard reads nu(F) on the residues, which fix F mod pi^(2K): below
 # 2K exactly, and as "at least 2K" from a pair of zeros.  So it certifies
 # nu(F) >= n for n up to 2K and no further.

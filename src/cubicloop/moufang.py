@@ -27,6 +27,8 @@ from .surface import (
 )
 
 N_CLASSES = 243
+# Random lift pairs per sampled cell of an admissibility check.
+LIFT_SAMPLES = 20
 
 
 class AdmissibilityViolation(Exception):
@@ -200,17 +202,14 @@ def compose_cells(
 
 
 def build_class_table(
-    n: int = DEFAULT_PRECISION,
-    lift_samples: int = 20,
-    seed: int = 0,
-    admissibility_cells: int = 500,
+    n: int = DEFAULT_PRECISION, seed: int = 0, admissibility_cells: int = 500
 ) -> ClassTable:
     """Build the full o-table and spot-check admissibility.
 
     The cells of distinct classes are composed on fixed representatives at
     n, the diagonal on two random lifts at doubled precision, where two
     lifts of one class separate (at n = 12 every diagonal cell fails at n).
-    For `admissibility_cells` random cells, `lift_samples` extra random
+    For `admissibility_cells` random cells, LIFT_SAMPLES extra random
     representative pairs are composed and must land in the same class."""
     iu, ju = np.triu_indices(N_CLASSES, k=1)
     cells, exact = compose_cells(iu, ju, n)
@@ -223,7 +222,7 @@ def build_class_table(
     circ[ids, ids] = diag
     table = ClassTable(circ, n, seed, exact_cells=exact + exact_diag)
     if admissibility_cells > 0:
-        check_admissibility(table, admissibility_cells, lift_samples, seed)
+        check_admissibility(table, admissibility_cells, LIFT_SAMPLES, seed)
     return table
 
 
@@ -254,18 +253,27 @@ def check_admissibility(
     return len(draws), 0
 
 
+def _mismatch(left: np.ndarray, right: np.ndarray, *x: int) -> tuple | None:
+    """`x` and the first index where `left` and `right` differ, searched only
+    once they do; None where they are equal."""
+    if np.array_equal(left, right):
+        return None
+    return (*x, *(int(v) for v in np.argwhere(left != right)[0]))
+
+
+def _first_mismatch(sides) -> tuple | None:
+    """`_mismatch(*sides(x), x)` for the first x where it is not None."""
+    return next(filter(None, (_mismatch(*sides(x), x) for x in range(N_CLASSES))), None)
+
+
 def verify_quasigroup(t: ClassTable) -> CheckReport:
     """Exhaustive check of x o y = y o x and x o (x o y) = y."""
     circ = t.circ
-    if not np.array_equal(circ, circ.T):
-        i, j = np.argwhere(circ != circ.T)[0]
-        return CheckReport("symmetric", False, N_CLASSES**2, (int(i), int(j)))
     ids = np.arange(N_CLASSES)
-    for x in range(N_CLASSES):
-        back = circ[x, circ[x]]
-        if not np.array_equal(back, ids):
-            y = int(np.argwhere(back != ids)[0][0])
-            return CheckReport("involution", False, N_CLASSES**2, (x, y))
+    if (bad := _mismatch(circ, circ.T)) is not None:
+        return CheckReport("symmetric", False, N_CLASSES**2, bad)
+    if (bad := _first_mismatch(lambda x: (circ[x, circ[x]], ids))) is not None:
+        return CheckReport("involution", False, N_CLASSES**2, bad)
     return CheckReport("symmetric quasigroup", True, 2 * N_CLASSES**2)
 
 
@@ -279,31 +287,23 @@ def loop_from(t: ClassTable, unit: int) -> LoopTable:
 
 
 def verify_cml(l: LoopTable) -> list[CheckReport]:
-    """Commutativity, unit, inverses and the three weak-associativity laws."""
-    mul, unit = l.mul, l.unit
-    n = N_CLASSES
+    """Commutativity, unit, inverses and the three weak-associativity laws.
+    A failed report's counterexample is the law's first failing (x, y, z),
+    cut to the variables the law has."""
+    m, unit, n = l.mul, l.unit, N_CLASSES
     ids = np.arange(n)
-    reports = [
-        CheckReport("commutativity", bool(np.array_equal(mul, mul.T)), n * n),
-        CheckReport("unit", bool(np.array_equal(mul[unit], ids)), n),
-        CheckReport(
-            "inverses", bool(np.array_equal(mul[ids, l.inv], np.full(n, unit))), n
-        ),
+    sq = m[ids, ids]
+    laws = [
+        ("commutativity", n * n, _mismatch(m, m.T)),
+        ("unit", n, _mismatch(m[unit], ids)),
+        ("inverses", n, _mismatch(m[ids, l.inv], np.full(n, unit))),
+        ("x(xy) = x^2 y", n * n, _first_mismatch(lambda x: (m[x, m[x]], m[sq[x]]))),
+        ("(xy)(xz) = x^2(yz)", n**3,
+         _first_mismatch(lambda x: (m[np.ix_(m[x], m[x])], m[sq[x]][m]))),
+        ("x(y(xz)) = (x^2 y)z", n**3,
+         _first_mismatch(lambda x: (m[x][m[:, m[x]]], m[m[sq[x]], :]))),
     ]
-    sq = mul[ids, ids]
-    ok3 = all(np.array_equal(mul[x, mul[x]], mul[sq[x]]) for x in range(n))
-    reports.append(CheckReport("x(xy) = x^2 y", ok3, n * n))
-    ok4a = True
-    ok4b = True
-    for x in range(n):
-        row = mul[x]
-        if ok4a and not np.array_equal(mul[np.ix_(row, row)], mul[sq[x]][mul]):
-            ok4a = False
-        if ok4b and not np.array_equal(mul[x][mul[:, row]], mul[mul[sq[x]], :]):
-            ok4b = False
-    reports.append(CheckReport("(xy)(xz) = x^2(yz)", ok4a, n**3))
-    reports.append(CheckReport("x(y(xz)) = (x^2 y)z", ok4b, n**3))
-    return reports
+    return [CheckReport(name, cx is None, checks, cx) for name, checks, cx in laws]
 
 
 def element_orders(l: LoopTable) -> list[int]:
@@ -380,23 +380,13 @@ def circ_closure(t: ClassTable, gens: set[int]) -> set[int]:
         frontier = np.array(sorted(closed))
 
 
-def ch_check(
-    t: ClassTable, samples: int = 200, seed: int = 0, exhaustive: bool = False
-) -> CheckReport:
+def ch_check(t: ClassTable, samples: int = 200, seed: int = 0) -> CheckReport:
     """Any three elements must generate an Abelian subquasigroup: the law
     a *' b = u' o (a o b) on the o-closure is an Abelian group law."""
     rng = random.Random(f"ch:{seed}")
-    if exhaustive:
-        triples = [
-            (x, y, z)
-            for x in range(N_CLASSES)
-            for y in range(x, N_CLASSES)
-            for z in range(y, N_CLASSES)
-        ]
-    else:
-        triples = [
-            tuple(rng.randrange(N_CLASSES) for _ in range(3)) for _ in range(samples)
-        ]
+    triples = [
+        tuple(rng.randrange(N_CLASSES) for _ in range(3)) for _ in range(samples)
+    ]
     checks = 0
     for triple in triples:
         closed = sorted(circ_closure(t, set(triple)))
@@ -418,8 +408,10 @@ def ch_check(
 def eckhardt_check(samples: int, seed: int, n: int = DEFAULT_PRECISION) -> CheckReport:
     """For each family's unit class U0, U1, U2 (lifted at n), the chord
     through it and a random lift of another class equals that lift with two
-    coordinates swapped, mod pi^3; `samples` random lifts per family.  The
-    counterexample is (family, class, lift seed)."""
+    coordinates swapped, mod pi^3; `samples` random lifts per family.  As in
+    `compose_classes`, a sample that exhausts the precision is retried at
+    doubled precision with the same class and seed.  The counterexample is
+    (family, class, lift seed)."""
     rng = random.Random(f"eckhardt:{seed}")
     params = class_params()
     checks = 0
@@ -430,11 +422,20 @@ def eckhardt_check(samples: int, seed: int, n: int = DEFAULT_PRECISION) -> Check
             c, s = rng.randrange(N_CLASSES), rng.randrange(1 << 30)
             if c == unit:
                 continue
-            pt = random_lift(params[c], n, s)
-            swapped = ProjPoint(tuple(pt.coords[k] for k in perm), pt.prec)
-            if normalize(chord(u, pt)[0], 3) != normalize(swapped, 3):
-                failure = (unit_lp.family, c, s)
-                return CheckReport("eckhardt swaps", False, checks, failure)
+            work, u_work = n, u
+            while True:
+                try:
+                    pt = random_lift(params[c], work, s)
+                    swapped = ProjPoint(tuple(pt.coords[k] for k in perm), pt.prec)
+                    swaps = normalize(chord(u_work, pt)[0], 3) == normalize(swapped, 3)
+                    break
+                except PrecisionExhausted:
+                    if work >= MAX_PRECISION:
+                        raise
+                    work = min(2 * work, MAX_PRECISION)
+                    u_work = lift_representative(unit_lp, work)
+            if not swaps:
+                return CheckReport("eckhardt swaps", False, checks, (unit_lp.family, c, s))
             checks += 1
     return CheckReport("eckhardt swaps", True, checks)
 
@@ -489,3 +490,37 @@ def witness_sides(t: ClassTable, l: LoopTable) -> tuple[tuple[int, int, int], in
     ):
         raise AssertionError("association sides inconsistent with the loop table")
     return (x, y, z), left, right
+
+
+def verify_suites(t: ClassTable, unit: int, seed: int) -> list[CheckReport]:
+    """The reports of every check, in order, up to the first failed one: the
+    quasigroup, the CML laws of the loop with `unit`, admissibility (50 cells),
+    the named witness, CH (200 triples), Eckhardt (50 lifts per family), and
+    the paper's exponent 3 and nucleus of order 9, whose detail gives
+    `exponent=.. |nucleus|=.. witnesses=..` (non-associative triples)."""
+    reports = []
+    for report in _suite_reports(t, unit, seed):
+        reports.append(report)
+        if not report.passed:
+            break
+    return reports
+
+
+def _suite_reports(t: ClassTable, unit: int, seed: int):
+    """The reports in order; each step assumes that the ones before it passed."""
+    yield verify_quasigroup(t)
+    l = loop_from(t, unit)  # reached only once t is a quasigroup
+    yield from verify_cml(l)
+    try:
+        passes, _ = check_admissibility(t, 50, LIFT_SAMPLES, seed)
+    except AdmissibilityViolation as exc:
+        yield CheckReport("admissibility", False, 50 * LIFT_SAMPLES, detail=str(exc))
+    yield CheckReport("admissibility", True, passes)
+    triple, left, right = witness_sides(t, l)
+    yield CheckReport("non-associative witness", left != right, 1, triple)
+    yield ch_check(t, 200, seed)
+    yield eckhardt_check(50, seed, t.precision)
+    e, order = exponent(l), len(nucleus(l))
+    figures = f"exponent={e} |nucleus|={order} witnesses={int(associator_mask(l).sum())}"
+    yield CheckReport("exponent 3", e == 3, N_CLASSES, detail=figures)
+    yield CheckReport("nucleus of order 9", order == 9, N_CLASSES, detail=figures)

@@ -6,7 +6,7 @@ import cubicloop.moufang as M
 @pytest.fixture(scope="session")
 def table():
     """Full 243x243 composition table at the default precision."""
-    return M.build_class_table(12, lift_samples=20, seed=0, admissibility_cells=0)
+    return M.build_class_table(12, seed=0, admissibility_cells=0)
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,13 @@
 """Subcommand behavior and exit codes of the command-line front end."""
 
+import ast
 import json
+import re
 
 import pytest
 
 import cubicloop.cli as cli
+import cubicloop.moufang as M
 from cubicloop.eisenstein import PrecisionExhausted
 
 
@@ -119,11 +122,34 @@ class TestVerifySuites:
         assert "PASS non-associative witness" in out
         assert "p vs p-p^2" in out
 
-    def test_quasigroup_suite(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "quasigroup")
-        assert code == 0 and "PASS symmetric quasigroup" in out
-
     def test_all_suites(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "all")
+        code, out, _ = run(capsys, "verify")
         assert code == 0
+        assert out.splitlines()[0] == "PASS symmetric quasigroup (118098 checks)"
         assert out.splitlines()[-1] == "order=243 exponent=3 |nucleus|=9 witnesses=8188128"
+
+    def test_every_check_passes_at_precision_6(self, capsys):
+        code, out, _ = run(capsys, "--precision", "6", "verify")
+        assert code == 0
+        assert "FAIL" not in out
+        assert out.splitlines()[-1] == "order=243 exponent=3 |nucleus|=9 witnesses=8188128"
+
+    @pytest.mark.parametrize("i, j", [(0, 24), (22, 94)])
+    def test_corrupted_table_fails_with_a_counterexample(
+        self, capsys, monkeypatch, table, i, j
+    ):
+        circ = table.circ.copy()
+        circ[i, j] = circ[j, i] = (circ[i, j] + 1) % 243
+        bad = M.ClassTable(circ, table.precision, table.seed)
+        monkeypatch.setattr(cli, "build_class_table", lambda *a, **k: bad)
+        code, out, err = run(capsys, "verify")
+        assert code == 1
+        assert "Traceback" not in out + err
+        fail = re.fullmatch(r"FAIL (.+) \(\d+ checks\) at (\(.*\))", out.splitlines()[-1])
+        assert fail is not None, out
+        x, y = ast.literal_eval(fail[2])
+        breaks = {
+            "symmetric": circ[x, y] != circ[y, x],
+            "involution": circ[x, circ[x, y]] != y,
+        }
+        assert breaks[fail[1]]

@@ -9,15 +9,24 @@ from hypothesis import strategies as st
 
 import cubicloop.moufang as M
 from cubicloop import kernel
-from cubicloop.eisenstein import PrecisionExhausted, nu
+from cubicloop.eisenstein import PrecisionExhausted, RingElt, nu
 from cubicloop.surface import (
     HENSEL_INDEX,
+    ProjPoint,
     chord,
     eval_form,
     lift_representative,
     normalize,
     random_lift,
 )
+
+
+def to_points(pairs, prec):
+    """Points of precision `prec` whose coordinates are the residues."""
+    return [
+        ProjPoint(tuple(RingElt(int(a), int(b)) for a, b in zip(ra, rb)), prec)
+        for ra, rb in zip(*pairs)
+    ]
 
 
 def exact_class(p, q):
@@ -45,7 +54,7 @@ def check_lifts(classes, seeds, n):
     else:
         exact = [random_lift(params[c], n, s) for c, s in zip(classes, seeds)]
     want = kernel.to_pairs(exact)
-    for k, (c, p, e) in enumerate(zip(classes, kernel.to_points(pairs, n), exact)):
+    for k, (c, p, e) in enumerate(zip(classes, to_points(pairs, n), exact)):
         h = HENSEL_INDEX[params[c].family]
         for x in (0, 1):
             assert np.delete(pairs[x][k], h).tolist() == np.delete(want[x][k], h).tolist()
@@ -94,7 +103,7 @@ def test_lifts_short_of_n_after_newton_are_refused(monkeypatch):
     monkeypatch.setattr(kernel, "_NEWTON_STEPS", 1)
     pairs, ok = kernel.lift_pairs(range(M.N_CLASSES), None, 24)
     assert 0 < ok.sum() < M.N_CLASSES
-    assert [nu(eval_form(p)) >= 24 for p in kernel.to_points(pairs, 24)] == ok.tolist()
+    assert [nu(eval_form(p)) >= 24 for p in to_points(pairs, 24)] == ok.tolist()
 
 
 def test_unit_inverse():

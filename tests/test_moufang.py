@@ -139,9 +139,32 @@ class TestLoop:
         single = M.subloop(loop, {5})
         assert len(single) == 3
 
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_eckhardt_check_at_every_precision(self, n):
+        # at n = 6-8 some samples exhaust the precision and are retried
+        for seed in range(3):
+            assert M.eckhardt_check(50, seed, n).passed
+
     def test_ch_property_sample(self, table):
         report = M.ch_check(table, samples=60, seed=1)
         assert report.passed
+
+
+def cml_law_holds(l, name, args):
+    """Whether the named law of `verify_cml` holds at the given variables."""
+    m, u = l.mul, l.unit
+
+    def sq(x):
+        return m[x, x]
+
+    return {
+        "commutativity": lambda x, y: m[x, y] == m[y, x],
+        "unit": lambda x: m[u, x] == x,
+        "inverses": lambda x: m[x, l.inv[x]] == u,
+        "x(xy) = x^2 y": lambda x, y: m[x, m[x, y]] == m[sq(x), y],
+        "(xy)(xz) = x^2(yz)": lambda x, y, z: m[m[x, y], m[x, z]] == m[sq(x), m[y, z]],
+        "x(y(xz)) = (x^2 y)z": lambda x, y, z: m[x, m[y, m[x, z]]] == m[m[sq(x), y], z],
+    }[name](*args)
 
 
 class TestCorruption:
@@ -161,7 +184,22 @@ class TestCorruption:
         circ[3, 5] = circ[5, 3] = v
         bad = M.ClassTable(circ, table.precision, table.seed)
         bad_loop = M.LoopTable(circ[loop.unit][circ], loop.unit, loop.inv)
-        assert not all(report.passed for report in M.verify_cml(bad_loop))
+        # and one-sided corruptions of the loop's unit row and of the cell
+        # that holds 3's inverse
+        unit_row, cell = loop.mul.copy(), loop.mul.copy()
+        unit_row[loop.unit, 7] = unit_row[loop.unit, 8]
+        inv3 = loop.inv[3]
+        cell[3, inv3] = (cell[3, inv3] + 1) % M.N_CLASSES
+        failed = set()
+        for mul in (bad_loop.mul, unit_row, cell):
+            corrupt = M.LoopTable(mul, loop.unit, loop.inv)
+            reports = M.verify_cml(corrupt)
+            assert not all(report.passed for report in reports)
+            for report in reports:
+                if not report.passed:
+                    failed.add(report.name)
+                    assert not cml_law_holds(corrupt, report.name, report.counterexample)
+        assert failed == {r.name for r in M.verify_cml(loop)}
 
     def test_admissibility_detects_corruption(self, table):
         bad = M.ClassTable((table.circ + 1) % M.N_CLASSES, table.precision, table.seed)
