@@ -30,16 +30,12 @@ def subloop_size_distribution(loop, rng, samples: int, gens: int) -> Counter:
 def associator_stats(loop) -> tuple[int, Counter]:
     """Count non-associative triples and the distribution of associators
     a(x,y,z) = ((xy)z) / (x(yz))."""
-    mul, inv = loop.mul, loop.inv
     values = Counter()
     total = 0
-    for x in range(M.N_CLASSES):
-        left = mul[mul[x], :]
-        right = mul[x][mul]
-        bad = left != right
-        total += int(bad.sum())
-        assoc = mul[left, inv[right]]
-        values.update(np.unique(assoc, return_counts=True)[0].tolist())
+    for left, right in M._associator_sides(loop):
+        total += int(np.count_nonzero(left != right))
+        assoc = loop.mul[left, loop.inv[right]]
+        values.update(np.unique(assoc).tolist())
     return total, values
 
 

@@ -25,6 +25,7 @@ from .moufang import (
     loop_from,
     named_class,
     nucleus,
+    verify_quasigroup,
     verify_suites,
     witness_sides,
 )
@@ -100,8 +101,21 @@ def _table(cfg: Config) -> ClassTable:
     return build_class_table(cfg.precision, seed=cfg.seed, admissibility_cells=0)
 
 
+class CheckFailed(Exception):
+    """A check the command relies on failed; `run` prints its report."""
+
+    def __init__(self, report: CheckReport):
+        super().__init__(report.name)
+        self.report = report
+
+
 def _build(cfg: Config) -> tuple[ClassTable, LoopTable]:
+    """The table and its loop with unit U0; CheckFailed if the table is no
+    symmetric quasigroup, which the loop needs."""
     table = _table(cfg)
+    report = verify_quasigroup(table)
+    if not report.passed:
+        raise CheckFailed(report)
     return table, loop_from(table, named_class(moufang.U0))
 
 
@@ -245,6 +259,8 @@ def run(argv: list[str]) -> int:
             "nucleus": cmd_nucleus,
         }[args.command]
         return handler(args, cfg)
+    except CheckFailed as exc:
+        return _print_reports([exc.report])
     except (
         ParseError,
         ValueError,

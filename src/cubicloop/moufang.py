@@ -286,22 +286,36 @@ def loop_from(t: ClassTable, unit: int) -> LoopTable:
     return LoopTable(mul, unit, inv)
 
 
+def _gather_views(mul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`mul` as uint8 values and as intp indices, so that `take` gathers
+    bytes and converts no index.  ValueError names the first cell that is
+    no class id: a negative one would index from the end, and one above 255
+    would wrap in the cast."""
+    if mul.min() < 0 or mul.max() >= N_CLASSES:
+        x, y = np.argwhere((mul < 0) | (mul >= N_CLASSES))[0]
+        raise ValueError(f"loop table cell ({x}, {y}) is {mul[x, y]}, not a class id")
+    return mul.astype(np.uint8), mul.astype(np.intp)
+
+
 def verify_cml(l: LoopTable) -> list[CheckReport]:
     """Commutativity, unit, inverses and the three weak-associativity laws.
     A failed report's counterexample is the law's first failing (x, y, z),
     cut to the variables the law has."""
     m, unit, n = l.mul, l.unit, N_CLASSES
+    v, ix = _gather_views(m)
+    ix_t = np.ascontiguousarray(ix.T)
     ids = np.arange(n)
-    sq = m[ids, ids]
+    sq = ix[ids, ids]
     laws = [
         ("commutativity", n * n, _mismatch(m, m.T)),
         ("unit", n, _mismatch(m[unit], ids)),
         ("inverses", n, _mismatch(m[ids, l.inv], np.full(n, unit))),
-        ("x(xy) = x^2 y", n * n, _first_mismatch(lambda x: (m[x, m[x]], m[sq[x]]))),
+        ("x(xy) = x^2 y", n * n, _first_mismatch(lambda x: (v[x].take(ix[x]), v[sq[x]]))),
         ("(xy)(xz) = x^2(yz)", n**3,
-         _first_mismatch(lambda x: (m[np.ix_(m[x], m[x])], m[sq[x]][m]))),
+         _first_mismatch(lambda x: (v.take(ix[x], 0).take(ix[x], 1), v[sq[x]].take(ix)))),
+        # y(xz) is gathered as rows of the transpose, indexed [z, y]
         ("x(y(xz)) = (x^2 y)z", n**3,
-         _first_mismatch(lambda x: (m[x][m[:, m[x]]], m[m[sq[x]], :]))),
+         _first_mismatch(lambda x: (v[x].take(ix_t.take(ix[x], 0)).T, v.take(ix[sq[x]], 0)))),
     ]
     return [CheckReport(name, cx is None, checks, cx) for name, checks, cx in laws]
 
@@ -329,13 +343,19 @@ def exponent(l: LoopTable) -> int:
     return e
 
 
+def _associator_sides(l: LoopTable):
+    """((xy)z, x(yz)) as 243x243 arrays indexed [y, z], for each x in turn."""
+    v, ix = _gather_views(l.mul)
+    for x in range(N_CLASSES):
+        yield v.take(ix[x], 0), v[x].take(ix)
+
+
 def nucleus(l: LoopTable) -> set[int]:
     """Associative center: a with (a x) y = a (x y) for all x, y."""
     mul = l.mul
-    members = set()
-    for a in range(N_CLASSES):
-        if np.array_equal(mul[mul[a]], mul[a][mul]):
-            members.add(a)
+    members = {
+        a for a, (left, right) in enumerate(_associator_sides(l)) if np.array_equal(left, right)
+    }
     # a subloop: closed under mul and inverses, contains the unit
     ids = sorted(members)
     sub = mul[np.ix_(ids, ids)]
@@ -348,20 +368,17 @@ def nucleus(l: LoopTable) -> set[int]:
 
 def associator_mask(l: LoopTable) -> np.ndarray:
     """Boolean (x,y,z) mask where (xy)z != x(yz)."""
-    mul = l.mul
     mask = np.empty((N_CLASSES, N_CLASSES, N_CLASSES), dtype=bool)
-    for x in range(N_CLASSES):
-        mask[x] = mul[mul[x], :] != mul[x][mul]
+    for x, (left, right) in enumerate(_associator_sides(l)):
+        np.not_equal(left, right, out=mask[x])
     return mask
 
 
 def find_nonassoc(l: LoopTable, limit: int = 10) -> list[tuple[int, int, int]]:
     """First `limit` non-associative triples in lexicographic order."""
-    mul = l.mul
     out: list[tuple[int, int, int]] = []
-    for x in range(N_CLASSES):
-        bad = np.argwhere(mul[mul[x], :] != mul[x][mul])
-        for y, z in bad:
+    for x, (left, right) in enumerate(_associator_sides(l)):
+        for y, z in np.argwhere(left != right):
             out.append((x, int(y), int(z)))
             if len(out) >= limit:
                 return out
@@ -390,8 +407,9 @@ def ch_check(t: ClassTable, samples: int = 200, seed: int = 0) -> CheckReport:
     checks = 0
     for triple in triples:
         closed = sorted(circ_closure(t, set(triple)))
-        index = {c: k for k, c in enumerate(closed)}
-        sub = np.array([[index[t.circ[a, b]] for b in closed] for a in closed])
+        lut = np.full(N_CLASSES, -1)
+        lut[closed] = np.arange(len(closed))
+        sub = lut[t.circ[np.ix_(closed, closed)]]
         uprime = 0  # any fixed element of the closure
         m = sub[uprime][sub]
         if not np.array_equal(m, m.T):
@@ -515,6 +533,7 @@ def _suite_reports(t: ClassTable, unit: int, seed: int):
         passes, _ = check_admissibility(t, 50, LIFT_SAMPLES, seed)
     except AdmissibilityViolation as exc:
         yield CheckReport("admissibility", False, 50 * LIFT_SAMPLES, detail=str(exc))
+        return
     yield CheckReport("admissibility", True, passes)
     triple, left, right = witness_sides(t, l)
     yield CheckReport("non-associative witness", left != right, 1, triple)

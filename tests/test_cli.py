@@ -153,3 +153,22 @@ class TestVerifySuites:
             "involution": circ[x, circ[x, y]] != y,
         }
         assert breaks[fail[1]]
+
+    @pytest.mark.parametrize("command", ["table", "witness", "nucleus"])
+    def test_loop_commands_refuse_a_table_that_is_no_quasigroup(
+        self, capsys, monkeypatch, table, tmp_path, command
+    ):
+        # with cell (0, 24) changed symmetrically the table has no loop
+        circ = table.circ.copy()
+        circ[0, 24] = circ[24, 0] = (circ[0, 24] + 1) % 243
+        bad = M.ClassTable(circ, table.precision, table.seed)
+        monkeypatch.setattr(cli, "build_class_table", lambda *a, **k: bad)
+        export = tmp_path / "t.json"
+        argv = [command, "--out", str(export)] if command == "table" else [command]
+        code, out, err = run(capsys, *argv)
+        report = M.verify_quasigroup(bad)
+        assert (code, err, report.passed) == (1, "", False)
+        assert out.splitlines() == [
+            f"FAIL {report.name} ({report.checks} checks) at {report.counterexample}"
+        ]
+        assert not export.exists()

@@ -167,6 +167,107 @@ def cml_law_holds(l, name, args):
     }[name](*args)
 
 
+def corrupted_loops(table, loop):
+    """Loops with unit U0 whose tables each break some CML law."""
+    circ = table.circ.copy()
+    # symmetric corruption slips past the commutativity check but not
+    # the weak-associativity identities
+    circ[3, 5] = circ[5, 3] = (circ[3, 5] + 1) % M.N_CLASSES
+    # and one-sided corruptions of the loop's unit row and of the cell
+    # that holds 3's inverse
+    unit_row, cell = loop.mul.copy(), loop.mul.copy()
+    unit_row[loop.unit, 7] = unit_row[loop.unit, 8]
+    inv3 = loop.inv[3]
+    cell[3, inv3] = (cell[3, inv3] + 1) % M.N_CLASSES
+    return {
+        name: M.LoopTable(mul, loop.unit, loop.inv)
+        for name, mul in (
+            ("symmetric", circ[loop.unit][circ]),
+            ("unit-row", unit_row),
+            ("inverse-cell", cell),
+        )
+    }
+
+
+# The int16 fancy-index formulas the L4 checks used before their uint8
+# `take` gathers; the fast path must give the same verdicts and cells.
+
+
+def oracle_first_difference(pairs):
+    """(x, *index) of the first differing entry of the x-th pair, or None."""
+    for x, (left, right) in enumerate(pairs):
+        diff = np.argwhere(left != right)
+        if len(diff):
+            return (x, *(int(k) for k in diff[0]))
+    return None
+
+
+def oracle_cml(l):
+    m, unit, n = l.mul, l.unit, M.N_CLASSES
+    ids = np.arange(n)
+    sq = m[ids, ids]
+
+    def cx(left, right):
+        found = oracle_first_difference([(left, right)])
+        return None if found is None else found[1:]
+
+    def per_x(sides):
+        return oracle_first_difference(sides(x) for x in range(n))
+
+    laws = [
+        ("commutativity", n * n, cx(m, m.T)),
+        ("unit", n, cx(m[unit], ids)),
+        ("inverses", n, cx(m[ids, l.inv], np.full(n, unit))),
+        ("x(xy) = x^2 y", n * n, per_x(lambda x: (m[x, m[x]], m[sq[x]]))),
+        ("(xy)(xz) = x^2(yz)", n**3, per_x(lambda x: (m[np.ix_(m[x], m[x])], m[sq[x]][m]))),
+        ("x(y(xz)) = (x^2 y)z", n**3, per_x(lambda x: (m[x][m[:, m[x]]], m[m[sq[x]], :]))),
+    ]
+    return [(name, found is None, checks, found) for name, checks, found in laws]
+
+
+def oracle_associator_sides(l):
+    m = l.mul
+    return ((m[m[x], :], m[x][m]) for x in range(M.N_CLASSES))
+
+
+def oracle_nucleus(l):
+    mul = l.mul
+    members = {a for a, (left, right) in enumerate(oracle_associator_sides(l))
+               if np.array_equal(left, right)}
+    ids = sorted(members)
+    if l.unit not in members or not set(mul[np.ix_(ids, ids)].ravel()) <= members:
+        raise AssertionError("nucleus is not closed under multiplication")
+    if not {int(l.inv[a]) for a in members} <= members:
+        raise AssertionError("nucleus is not closed under inverses")
+    return members
+
+
+def oracle_nonassoc(l, limit):
+    found = [(x, int(y), int(z)) for x, (left, right) in enumerate(oracle_associator_sides(l))
+             for y, z in np.argwhere(left != right)[:limit]]
+    return found[:limit]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except AssertionError as exc:
+        return f"AssertionError: {exc}"
+
+
+class TestFastL4MatchesOracle:
+    @pytest.mark.parametrize("case", ["U0", "unit-100", "symmetric", "unit-row", "inverse-cell"])
+    def test_checks_equal_the_oracle(self, table, loop, case):
+        loops = {"U0": loop, "unit-100": M.loop_from(table, 100)}
+        l = {**loops, **corrupted_loops(table, loop)}[case]
+        got = [(r.name, r.passed, r.checks, r.counterexample) for r in M.verify_cml(l)]
+        assert got == oracle_cml(l)
+        mask = np.stack([left != right for left, right in oracle_associator_sides(l)])
+        assert np.array_equal(M.associator_mask(l), mask)
+        assert outcome(M.nucleus, l) == outcome(oracle_nucleus, l)
+        assert M.find_nonassoc(l, limit=10) == oracle_nonassoc(l, 10)
+
+
 class TestCorruption:
     def test_quasigroup_detects_bad_cell(self, table):
         circ = table.circ.copy()
@@ -177,22 +278,8 @@ class TestCorruption:
         assert report.counterexample is not None
 
     def test_cml_detects_bad_cell(self, table, loop):
-        circ = table.circ.copy()
-        # symmetric corruption slips past the commutativity check but not
-        # the weak-associativity identities
-        v = (circ[3, 5] + 1) % M.N_CLASSES
-        circ[3, 5] = circ[5, 3] = v
-        bad = M.ClassTable(circ, table.precision, table.seed)
-        bad_loop = M.LoopTable(circ[loop.unit][circ], loop.unit, loop.inv)
-        # and one-sided corruptions of the loop's unit row and of the cell
-        # that holds 3's inverse
-        unit_row, cell = loop.mul.copy(), loop.mul.copy()
-        unit_row[loop.unit, 7] = unit_row[loop.unit, 8]
-        inv3 = loop.inv[3]
-        cell[3, inv3] = (cell[3, inv3] + 1) % M.N_CLASSES
         failed = set()
-        for mul in (bad_loop.mul, unit_row, cell):
-            corrupt = M.LoopTable(mul, loop.unit, loop.inv)
+        for corrupt in corrupted_loops(table, loop).values():
             reports = M.verify_cml(corrupt)
             assert not all(report.passed for report in reports)
             for report in reports:
@@ -200,6 +287,27 @@ class TestCorruption:
                     failed.add(report.name)
                     assert not cml_law_holds(corrupt, report.name, report.counterexample)
         assert failed == {r.name for r in M.verify_cml(loop)}
+
+    @pytest.mark.parametrize("bad", [-1, M.N_CLASSES])
+    def test_gathers_refuse_an_entry_that_is_no_class(self, loop, bad):
+        # -1 would index from the end; the first bad cell in row order is named
+        mul = loop.mul.copy()
+        mul[9, 2] = mul[5, 7] = bad
+        corrupt = M.LoopTable(mul, loop.unit, loop.inv)
+        for check in (M.verify_cml, M.nucleus, M.associator_mask, M.find_nonassoc):
+            with pytest.raises(ValueError, match=rf"cell \(5, 7\) is {bad},"):
+                check(corrupt)
+
+    def test_suite_reports_end_at_a_failed_admissibility(self, table):
+        # relabelled classes keep the table a CML but not the chord geometry
+        perm = np.roll(np.arange(M.N_CLASSES), 1)
+        circ = np.empty_like(table.circ)
+        circ[np.ix_(perm, perm)] = perm[table.circ]
+        relabelled = M.ClassTable(circ, table.precision, table.seed)
+        unit = int(perm[M.named_class(M.U0)])
+        reports = list(M._suite_reports(relabelled, unit, 0))
+        assert [r.passed for r in reports] == [True] * 7 + [False]
+        assert reports[-1].name == "admissibility"
 
     def test_admissibility_detects_corruption(self, table):
         bad = M.ClassTable((table.circ + 1) % M.N_CLASSES, table.precision, table.seed)
