@@ -60,6 +60,8 @@ def format_form(cf: CanonicalForm) -> str:
 
 def _point_from_literal(text: str) -> ProjPoint:
     coords = parse_point(text)
+    if all(c.is_zero() for c in coords):
+        raise ParseError("not a projective point: all four coordinates are zero")
     p = ProjPoint(coords)
     v = nu(eval_form(p))
     if v < 6:

@@ -352,14 +352,11 @@ def _associator_sides(l: LoopTable):
 
 def nucleus(l: LoopTable) -> set[int]:
     """Associative center: a with (a x) y = a (x y) for all x, y."""
-    mul = l.mul
     members = {
         a for a, (left, right) in enumerate(_associator_sides(l)) if np.array_equal(left, right)
     }
     # a subloop: closed under mul and inverses, contains the unit
-    ids = sorted(members)
-    sub = mul[np.ix_(ids, ids)]
-    if l.unit not in members or not set(sub.ravel()) <= members:
+    if l.unit not in members or _closure(l.mul, members) != members:
         raise AssertionError("nucleus is not closed under multiplication")
     if not {int(l.inv[a]) for a in members} <= members:
         raise AssertionError("nucleus is not closed under inverses")
@@ -385,16 +382,15 @@ def find_nonassoc(l: LoopTable, limit: int = 10) -> list[tuple[int, int, int]]:
     return out
 
 
-def circ_closure(t: ClassTable, gens: set[int]) -> set[int]:
-    """Closure of gens under the symmetric composition."""
+def _closure(op: np.ndarray, gens: set[int]) -> set[int]:
+    """Closure of `gens` under the operation table `op`."""
     closed = set(gens)
-    frontier = np.array(sorted(closed))
     while True:
-        new = set(np.unique(t.circ[np.ix_(frontier, frontier)]).tolist()) - closed
-        if not new:
+        ids = sorted(closed)
+        grown = closed | set(op[np.ix_(ids, ids)].ravel().tolist())
+        if grown == closed:
             return closed
-        closed |= new
-        frontier = np.array(sorted(closed))
+        closed = grown
 
 
 def ch_check(t: ClassTable, samples: int = 200, seed: int = 0) -> CheckReport:
@@ -406,19 +402,16 @@ def ch_check(t: ClassTable, samples: int = 200, seed: int = 0) -> CheckReport:
     ]
     checks = 0
     for triple in triples:
-        closed = sorted(circ_closure(t, set(triple)))
-        lut = np.full(N_CLASSES, -1)
-        lut[closed] = np.arange(len(closed))
-        sub = lut[t.circ[np.ix_(closed, closed)]]
+        closed = sorted(_closure(t.circ, set(triple)))
+        # the closure relabelled 0..k-1, so that its table indexes itself
+        sub = np.searchsorted(closed, t.circ[np.ix_(closed, closed)])
         uprime = 0  # any fixed element of the closure
         m = sub[uprime][sub]
         if not np.array_equal(m, m.T):
             return CheckReport("ch-closure abelian", False, checks, triple, "not commutative")
-        for a in range(len(closed)):
-            if not np.array_equal(m[m[a], :], m[a][m]):
-                return CheckReport(
-                    "ch-closure abelian", False, checks, triple, "not associative"
-                )
+        # [a, x, y] holds (ax)y on the left and a(xy) on the right
+        if not np.array_equal(m[m], m[:, m]):
+            return CheckReport("ch-closure abelian", False, checks, triple, "not associative")
         checks += 1
     return CheckReport("ch-closure abelian", True, checks)
 
@@ -459,16 +452,10 @@ def eckhardt_check(samples: int, seed: int, n: int = DEFAULT_PRECISION) -> Check
 
 
 def subloop(l: LoopTable, gens: set[int]) -> set[int]:
-    """Closure of gens and the unit under mul and inversion."""
-    closed = set(gens) | {l.unit}
-    closed |= {int(l.inv[g]) for g in closed}
-    while True:
-        ids = np.array(sorted(closed))
-        new = set(np.unique(l.mul[np.ix_(ids, ids)]).tolist()) - closed
-        if not new:
-            break
-        closed |= new
-        closed |= {int(l.inv[g]) for g in new}
+    """Closure of gens and the unit under mul.  It is closed under
+    inversion too: in a finite power-associative loop, as every CML is,
+    x^-1 is a positive power of x."""
+    closed = _closure(l.mul, set(gens) | {l.unit})
     size = len(closed)
     while size % 3 == 0:
         size //= 3

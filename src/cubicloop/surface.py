@@ -251,10 +251,6 @@ def hensel_lift_root(g: list[RingElt], y0: RingElt, n: int) -> RingElt:
     raise PrecisionExhausted("Newton iteration did not converge")
 
 
-def _small(a: int, b: int = 0) -> RingElt:
-    return RingElt(a, b)
-
-
 def residue_tuple(lp: LambdaParams) -> tuple[RingElt, RingElt, RingElt, RingElt]:
     """Exact representative of the class tuple mod pi^3."""
     base = -(THETA**lp.exp)
@@ -319,7 +315,7 @@ def _solve_hensel_coordinate(
         for _ in range(4):
             v = divide_by_pi(v)
         ghat.append(v)
-    w = hensel_lift_root(ghat, _small(w0), n - 4)
+    w = hensel_lift_root(ghat, RingElt(w0), n - 4)
     return _clamp(base + PI2 * w, n + 2)
 
 
@@ -347,7 +343,7 @@ def random_lift(lp: LambdaParams, n: int, seed: int) -> ProjPoint:
     coords = list(residue_tuple(lp))
     for k, i in enumerate(FREE_INDICES[lp.family]):
         a3, b3, a4, b4 = digits[4 * k : 4 * k + 4]
-        coords[i] = coords[i] + _small(a3, b3) * PI3 + _small(a4, b4) * PI3 * PI
+        coords[i] = coords[i] + RingElt(a3, b3) * PI3 + RingElt(a4, b4) * PI3 * PI
     idx = HENSEL_INDEX[lp.family]
     coords[idx] = _solve_hensel_coordinate(coords, idx, lp.exp, lp.coupled_sign, n)
     return ProjPoint(tuple(coords), n)
@@ -365,35 +361,12 @@ def all_params() -> list[LambdaParams]:
 
 
 def enumerate_classes(n: int) -> list[CanonicalForm]:
-    if n == 1:
-        tuples = [
-            (ONE, -ONE, ZERO, ZERO),
-            (ONE, ZERO, -ONE, ZERO),
-            (ZERO, ONE, -ONE, ZERO),
-        ]
-        pivots = [0, 0, 1]
-        return [
-            CanonicalForm(tuple(to_digits(c, 1) for c in t), piv)
-            for t, piv in zip(tuples, pivots)
-        ]
-    if n == 2:
-        out = []
-        for family in "PQR":
-            for exp in (0, 1, 2):
-                base = -(THETA**exp)
-                for s in (-1, 0, 1):
-                    sp = PI * s
-                    if family == "P":
-                        t, piv = (ONE, base, sp, -sp), 0
-                    elif family == "Q":
-                        t, piv = (ONE, sp, base, -sp), 0
-                    else:
-                        t, piv = (sp, ONE, base, -sp), 1
-                    out.append(CanonicalForm(tuple(to_digits(c, 2) for c in t), piv))
-        return out
-    if n == 3:
-        return [canonical_form(lp) for lp in all_params()]
-    raise ValueError(f"n must be 1, 2 or 3, got {n}")
+    """The classes mod pi^n for n = 1, 2, 3: the distinct truncations of the
+    243 canonical forms, in first-seen order.  A truncated canonical form is
+    canonical, and every class mod pi^n is the image of one mod pi^3."""
+    if n not in (1, 2, 3):
+        raise ValueError(f"n must be 1, 2 or 3, got {n}")
+    return list(dict.fromkeys(canonical_form(lp).truncate(n) for lp in all_params()))
 
 
 def compose_parametric(lp_p: LambdaParams, lp_q: LambdaParams) -> CanonicalForm:

@@ -28,6 +28,14 @@ class TestEnumerate:
         _, out, _ = run(capsys, "enumerate", "--mod", "1")
         assert out.splitlines() == ["1:-1:0:0", "1:0:-1:0", "0:1:-1:0"]
 
+    def test_mod_two_order(self, capsys):
+        # the listing order is the order of the 243 forms they are cut from
+        _, out, _ = run(capsys, "enumerate", "--mod", "2")
+        lines = out.splitlines()
+        assert len(lines) == 27
+        assert lines[:3] == ["1:-1:-p:p", "1:-1:0:0", "1:-1:p:-p"]
+        assert lines[-3:] == ["-p:1:-1-p:p", "0:1:-1-p:0", "p:1:-1-p:-p"]
+
     def test_bad_mod(self, capsys):
         with pytest.raises(SystemExit):
             run(capsys, "enumerate", "--mod", "4")
@@ -50,6 +58,13 @@ class TestCompose:
     def test_coincident(self, capsys):
         code, _, err = run(capsys, "compose", "--p", "1:-1:0:0", "--q", "2:-2:0:0")
         assert code == 2 and "equal points" in err
+
+    @pytest.mark.parametrize("p, q", [("0:0:0:0", "1:0:-1:0"), ("1:-1:0:0", "0:0:0:0")])
+    def test_zero_tuple(self, capsys, p, q):
+        # F(0) = 0 exactly, but the zero tuple names no point
+        code, out, err = run(capsys, "compose", "--p", p, "--q", q)
+        assert code == 2 and out == ""
+        assert "not a projective point" in err
 
 
 class TestLift:

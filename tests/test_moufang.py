@@ -138,6 +138,10 @@ class TestLoop:
         assert M.subloop(loop, set()) == {loop.unit}
         single = M.subloop(loop, {5})
         assert len(single) == 3
+        for gens, order in (({5, 9}, 9), ({66, 130, 124}, 81), ({1, 2, 3, 4}, 27)):
+            closed = M.subloop(loop, gens)
+            assert len(closed) == order
+            assert {int(loop.inv[x]) for x in closed} <= closed
 
     @pytest.mark.parametrize("n", range(6, 13))
     def test_eckhardt_check_at_every_precision(self, n):
@@ -242,6 +246,32 @@ def oracle_nucleus(l):
     return members
 
 
+def oracle_closure(circ, gens):
+    closed = set(gens)
+    while new := {int(circ[a, b]) for a in closed for b in closed} - closed:
+        closed |= new
+    return closed
+
+
+def oracle_ch_check(t, samples, seed):
+    """`ch_check`'s (passed, checks, counterexample, detail), with the law
+    of each closure tested for associativity one row at a time."""
+    rng = random.Random(f"ch:{seed}")
+    triples = [tuple(rng.randrange(M.N_CLASSES) for _ in range(3)) for _ in range(samples)]
+    for checks, triple in enumerate(triples):
+        ids = sorted(oracle_closure(t.circ, triple))
+        lut = np.full(M.N_CLASSES, -1)
+        lut[ids] = np.arange(len(ids))
+        sub = lut[t.circ[np.ix_(ids, ids)]]
+        m = sub[0][sub]
+        if not np.array_equal(m, m.T):
+            return (False, checks, triple, "not commutative")
+        for a in range(len(ids)):
+            if not np.array_equal(m[m[a], :], m[a][m]):
+                return (False, checks, triple, "not associative")
+    return (True, samples, None, "")
+
+
 def oracle_nonassoc(l, limit):
     found = [(x, int(y), int(z)) for x, (left, right) in enumerate(oracle_associator_sides(l))
              for y, z in np.argwhere(left != right)[:limit]]
@@ -308,6 +338,30 @@ class TestCorruption:
         reports = list(M._suite_reports(relabelled, unit, 0))
         assert [r.passed for r in reports] == [True] * 7 + [False]
         assert reports[-1].name == "admissibility"
+
+    @pytest.mark.parametrize(
+        "cell, symmetric",
+        [(None, False), ((24, 31), True), ((24, 31), False), ((31, 69), True), ((31, 69), False)],
+        ids=["intact", "symmetric-24-31", "one-sided-24-31", "symmetric-31-69", "one-sided-31-69"],
+    )
+    def test_ch_check_equals_the_oracle(self, table, cell, symmetric):
+        # the cell, inside the closure of the sixth seed-0 triple, moves to
+        # the next member of that closure; a symmetric change keeps the
+        # closure's law commutative but not associative
+        circ = table.circ.copy()
+        if cell is not None:
+            a, b = cell
+            closed = sorted(oracle_closure(table.circ, {31, 163, 193}))
+            circ[a, b] = closed[(closed.index(circ[a, b]) + 1) % len(closed)]
+            if symmetric:
+                circ[b, a] = circ[a, b]
+        bad = M.ClassTable(circ, table.precision, table.seed)
+        report = M.ch_check(bad, 200, 0)
+        got = (report.passed, report.checks, report.counterexample, report.detail)
+        assert got == oracle_ch_check(bad, 200, 0)
+        if cell is not None:
+            detail = "not associative" if symmetric else "not commutative"
+            assert got == (False, 5, (31, 163, 193), detail)
 
     def test_admissibility_detects_corruption(self, table):
         bad = M.ClassTable((table.circ + 1) % M.N_CLASSES, table.precision, table.seed)
