@@ -10,21 +10,18 @@ Usage:
 """
 
 import argparse
-import random
 import sys
 from collections import Counter
 
 import numpy as np
 
 import cubicloop.moufang as M
+from cubicloop.surface import _draw
 
 
-def subloop_size_distribution(loop, rng, samples: int, gens: int) -> Counter:
-    sizes = Counter()
-    for _ in range(samples):
-        g = {rng.randrange(M.N_CLASSES) for _ in range(gens)}
-        sizes[len(M.subloop(loop, g))] += 1
-    return sizes
+def subloop_size_distribution(loop, seed: int, samples: int, gens: int) -> Counter:
+    draws = _draw(M.N_CLASSES, 4, seed, gens, np.arange(samples)[:, None], range(gens))
+    return Counter(len(M.subloop(loop, set(g))) for g in draws.tolist())
 
 
 def associator_stats(loop) -> tuple[int, Counter]:
@@ -45,13 +42,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--precision", type=int, default=12)
     args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
 
     table = M.build_class_table(args.precision, admissibility_cells=0)
     loop = M.loop_from(table, M.named_class(M.U0))
 
     for gens in (1, 2, 3):
-        dist = subloop_size_distribution(loop, rng, args.samples, gens)
+        dist = subloop_size_distribution(loop, args.seed, args.samples, gens)
         print(f"subloop sizes from {gens} random generators:", dict(sorted(dist.items())))
 
     total, values = associator_stats(loop)

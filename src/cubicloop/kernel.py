@@ -148,16 +148,16 @@ _NEWTON_STEPS = 4
 
 @lru_cache(maxsize=1)
 def _class_data():
-    """Per class: its label, the residues of its tuple mod pi^3, its Hensel
-    and free coordinate indices; and the residues of pi^3 and pi^4."""
-    params = tuple(all_params())
+    """Per class: the residues of its tuple mod pi^3, its Hensel and free
+    coordinate indices; and the residues of pi^3 and pi^4."""
+    params = all_params()
     a, b = to_pairs([ProjPoint(residue_tuple(lp)) for lp in params])
     hensel = np.array([HENSEL_INDEX[lp.family] for lp in params])
     free = np.array([FREE_INDICES[lp.family] for lp in params])
     pi3 = PI * PI * PI
     pi4 = pi3 * PI
     bumps = tuple((x.a % MOD, x.b % MOD) for x in (pi3, pi4))
-    return params, a, b, hensel, free, bumps
+    return a, b, hensel, free, bumps
 
 
 def lift_pairs(
@@ -172,7 +172,7 @@ def lift_pairs(
     the root is unique.  A lift is refused when n > MAX_LIFT_PRECISION, when
     the class tuple fails the Hensel criterion, or when Newton's method
     leaves nu(F) < n."""
-    params, base_a, base_b, hensel, free, (pi3, pi4) = _class_data()
+    base_a, base_b, hensel, free, (pi3, pi4) = _class_data()
     classes = np.asarray(classes, dtype=np.int64)
     m = len(classes)
     a, b = base_a[classes], base_b[classes]
@@ -180,13 +180,7 @@ def lift_pairs(
         return (a, b), np.zeros(m, dtype=bool)
     rows = np.arange(m)
     if seeds is not None:
-        digits = np.array(
-            [
-                lift_digits(params[c], n, s)
-                for c, s in zip(classes.tolist(), np.asarray(seeds).tolist())
-            ],
-            dtype=np.int64,
-        ).reshape(m, 2, 4)
+        digits = lift_digits(classes, n, seeds).reshape(m, 2, 4)
         for k in range(2):
             d = digits[:, k]
             bump = _add(_mul((d[:, 0], d[:, 1]), pi3), _mul((d[:, 2], d[:, 3]), pi4))

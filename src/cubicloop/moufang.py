@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +17,7 @@ from .surface import (
     LambdaParams,
     PointsCoincide,
     ProjPoint,
+    _draw,
     all_params,
     canonical_form,
     chord,
@@ -188,8 +188,8 @@ def compose_cells(
             np.concatenate([i, j]), np.concatenate([s0, s1]), n
         )
         p, q = np.arange(len(i)), np.arange(len(i), 2 * len(i))
-    codes = classes_of_codes(kernel.chord_codes(pairs, p, q, n))
-    cells = np.where(lifted[p] & lifted[q], codes, -1)
+    codes = np.where(lifted[p] & lifted[q], kernel.chord_codes(pairs, p, q, n), -1)
+    cells = classes_of_codes(codes)  # masked first: a refused lift's code is no class's
     todo = np.flatnonzero(cells < 0)
     if len(todo) and 2 * n <= kernel.MAX_LIFT_PRECISION:
         rest = None if seed_pairs is None else seed_pairs[todo]
@@ -232,16 +232,10 @@ def check_admissibility(
     """Re-derive sampled cells from independent random lifts, all composed
     at once.  The first mismatch, in the order the samples are drawn,
     raises AdmissibilityViolation; returns (passes, fails)."""
-    rng = random.Random(f"admissibility:{seed}")
-    draws = []
-    for _ in range(cells):
-        i = rng.randrange(N_CLASSES)
-        j = rng.randrange(N_CLASSES)
-        for _ in range(samples_per_cell):
-            draws.append((i, j, rng.randrange(1 << 30), rng.randrange(1 << 30)))
-    draws = np.array(draws, dtype=np.int64).reshape(-1, 4)
-    i, j = draws[:, 0], draws[:, 1]
-    got, _ = compose_cells(i, j, table.precision, draws[:, 2:])
+    cell = np.arange(cells).repeat(samples_per_cell)[:, None]
+    i, j = _draw(N_CLASSES, 1, seed, cell, [0, 1]).T
+    seed_pairs = _draw(1 << 30, 1, seed, np.arange(len(cell))[:, None], [2, 3])
+    got, _ = compose_cells(i, j, table.precision, seed_pairs)
     expected = table.circ[i, j]
     bad = np.flatnonzero(got != expected)
     if len(bad):
@@ -250,7 +244,7 @@ def check_admissibility(
             f"cell ({i[k]},{j[k]}) sample {k % samples_per_cell}: "
             f"got class {got[k]}, table says {expected[k]}"
         )
-    return len(draws), 0
+    return len(cell), 0
 
 
 def _mismatch(left: np.ndarray, right: np.ndarray, *x: int) -> tuple | None:
@@ -396,12 +390,9 @@ def _closure(op: np.ndarray, gens: set[int]) -> set[int]:
 def ch_check(t: ClassTable, samples: int = 200, seed: int = 0) -> CheckReport:
     """Any three elements must generate an Abelian subquasigroup: the law
     a *' b = u' o (a o b) on the o-closure is an Abelian group law."""
-    rng = random.Random(f"ch:{seed}")
-    triples = [
-        tuple(rng.randrange(N_CLASSES) for _ in range(3)) for _ in range(samples)
-    ]
+    triples = _draw(N_CLASSES, 2, seed, np.arange(samples)[:, None], range(3))
     checks = 0
-    for triple in triples:
+    for triple in map(tuple, triples.tolist()):
         closed = sorted(_closure(t.circ, set(triple)))
         # the closure relabelled 0..k-1, so that its table indexes itself
         sub = np.searchsorted(closed, t.circ[np.ix_(closed, closed)])
@@ -423,16 +414,14 @@ def eckhardt_check(samples: int, seed: int, n: int = DEFAULT_PRECISION) -> Check
     `compose_classes`, a sample that exhausts the precision is retried at
     doubled precision with the same class and seed.  The counterexample is
     (family, class, lift seed)."""
-    rng = random.Random(f"eckhardt:{seed}")
     params = class_params()
     checks = 0
     for unit_lp, perm in ((U0, (1, 0, 2, 3)), (U1, (2, 1, 0, 3)), (U2, (0, 2, 1, 3))):
         unit, u = named_class(unit_lp), lift_representative(unit_lp, n)
-        stop = checks + samples
-        while checks < stop:
-            c, s = rng.randrange(N_CLASSES), rng.randrange(1 << 30)
-            if c == unit:
-                continue
+        k = np.arange(samples)
+        # every class but the unit, as an offset from it
+        classes = (unit + 1 + _draw(N_CLASSES - 1, 3, seed, unit, k, 0)) % N_CLASSES
+        for c, s in zip(classes.tolist(), _draw(1 << 30, 3, seed, unit, k, 1).tolist()):
             work, u_work = n, u
             while True:
                 try:

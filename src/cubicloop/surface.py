@@ -6,9 +6,10 @@ classes mod pi^3, and enumeration of the residue classes mod pi^n.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 from .eisenstein import (
     INFINITE,
@@ -329,17 +330,36 @@ def lift_representative(lp: LambdaParams, n: int = DEFAULT_PRECISION) -> ProjPoi
 FREE_INDICES = {"P": (2, 3), "Q": (1, 3), "R": (0, 3)}
 
 
-def lift_digits(lp: LambdaParams, n: int, seed: int) -> list[int]:
-    """The digits `random_lift` draws: for each free coordinate in turn,
-    a, b of the bump (a + b*theta)*pi^3, then a, b of the pi^4 bump."""
-    rng = random.Random(f"{lp.family}:{lp.exp}:{lp.digits}:{n}:{seed}")
-    return [rng.randrange(-1, 2) for _ in range(8)]
+def _draw(bound: int, *keys) -> np.ndarray:
+    """Integers in [0, bound), one per element of the broadcast integer keys
+    (ints or arrays; the result is at least 1-d): a splitmix64 hash (Steele
+    et al., OOPSLA 2014) of the keys mod 2^64, in order.  Every seeded sample
+    comes from here, and each call site passes its own constant first."""
+    h = np.zeros(1, dtype=np.uint64)  # an array, so overflow wraps silently
+    for key in map(np.asarray, keys):
+        if key.dtype == object:  # Python ints beyond 64 bits
+            key = np.asarray(key % (1 << 64))
+        z = h + key.astype(np.uint64) + 0x9E3779B97F4A7C15
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+        h = z ^ (z >> 31)
+    return (h % bound).astype(np.int64)
+
+
+def lift_digits(classes, n: int, seeds) -> np.ndarray:
+    """The digits, in -1..1, that `random_lift` draws for each class id and
+    seed, shape (m, 8): for each free coordinate in turn, a, b of the bump
+    (a + b*theta)*pi^3, then a, b of the pi^4 bump."""
+    rows = (np.asarray(classes)[:, None], n, np.asarray(seeds)[:, None])
+    return _draw(3, 0, *rows, np.arange(8)) - 1
 
 
 def random_lift(lp: LambdaParams, n: int, seed: int) -> ProjPoint:
     """A point on V in the class of lp whose free coordinates carry
     seed-dependent digits at levels pi^3 and pi^4."""
-    digits = lift_digits(lp, n, seed)
+    d0, d1, d2 = lp.digits  # lp's position in `all_params()` is its class id
+    c = 81 * "PQR".index(lp.family) + 27 * lp.exp + 9 * d0 + 3 * d1 + d2 + 13
+    digits = lift_digits([c], n, [seed])[0].tolist()
     coords = list(residue_tuple(lp))
     for k, i in enumerate(FREE_INDICES[lp.family]):
         a3, b3, a4, b4 = digits[4 * k : 4 * k + 4]
