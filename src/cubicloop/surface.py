@@ -7,6 +7,7 @@ classes mod pi^3, and enumeration of the residue classes mod pi^n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -357,9 +358,7 @@ def lift_digits(classes, n: int, seeds) -> np.ndarray:
 def random_lift(lp: LambdaParams, n: int, seed: int) -> ProjPoint:
     """A point on V in the class of lp whose free coordinates carry
     seed-dependent digits at levels pi^3 and pi^4."""
-    d0, d1, d2 = lp.digits  # lp's position in `all_params()` is its class id
-    c = 81 * "PQR".index(lp.family) + 27 * lp.exp + 9 * d0 + 3 * d1 + d2 + 13
-    digits = lift_digits([c], n, [seed])[0].tolist()
+    digits = lift_digits([_CLASS_IDS[lp]], n, [seed])[0].tolist()
     coords = list(residue_tuple(lp))
     for k, i in enumerate(FREE_INDICES[lp.family]):
         a3, b3, a4, b4 = digits[4 * k : 4 * k + 4]
@@ -369,15 +368,14 @@ def random_lift(lp: LambdaParams, n: int, seed: int) -> ProjPoint:
     return ProjPoint(tuple(coords), n)
 
 
-def all_params() -> list[LambdaParams]:
-    """The 243 class labels in the fixed lexicographic order
-    (family P < Q < R, then exponent, then digits)."""
-    out = []
-    for family in "PQR":
-        for exp in (0, 1, 2):
-            for digits in product((-1, 0, 1), repeat=3):
-                out.append(LambdaParams(family, exp, digits))
-    return out
+@lru_cache(maxsize=1)
+def all_params() -> tuple[LambdaParams, ...]:
+    """The 243 class labels in the fixed lexicographic order (family
+    P < Q < R, then exponent, then digits); a label's position is its id."""
+    return tuple(LambdaParams(*t) for t in product("PQR", (0, 1, 2), product((-1, 0, 1), repeat=3)))
+
+
+_CLASS_IDS = {lp: k for k, lp in enumerate(all_params())}
 
 
 def enumerate_classes(n: int) -> list[CanonicalForm]:
