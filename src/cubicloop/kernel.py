@@ -7,7 +7,7 @@ the element mod pi^(2K), so any valuation below 2K is read exactly and a
 residue pair of zeros means "valuation at least 2K".
 
 `lift_pairs` runs `lift_representative` or `random_lift` on many classes
-at once, solving the Hensel coordinate by Newton's method on the residues.
+at once, taking the exact path's Newton step on the Hensel coordinate.
 `chord_codes` runs `chord` followed by `normalize(r, 3, margin=3)` on many
 pairs of points at once and returns the code (`form_code`) of each
 canonical form.  A lift or cell whose result the residues cannot certify,
@@ -25,7 +25,9 @@ import numpy as np
 from .eisenstein import PI, DigitVector, RingElt, invert, to_digits
 from .surface import (
     FREE_INDICES,
+    HENSEL_CRITERION,
     HENSEL_INDEX,
+    PI3,
     CanonicalForm,
     ProjPoint,
     all_params,
@@ -139,10 +141,9 @@ def to_pairs(points: Sequence[ProjPoint]) -> tuple[np.ndarray, np.ndarray]:
 # 2K exactly, and as "at least 2K" from a pair of zeros.  So it certifies
 # nu(F) >= n for n up to 2K and no further.
 MAX_LIFT_PRECISION = 2 * K
-# The class's own tuple has nu(F) >= 5 (the Hensel criterion, since
-# nu(F') = nu(3x^2) = 2), and a Newton step takes nu(F) = v to at least
-# min(2v - 2, 2K): 5, 8, 14, 26, 50.  Four steps reach 2K.
-_HENSEL_CRITERION = 5
+# The class's own tuple has nu(F) >= HENSEL_CRITERION = 5, and a Newton
+# step takes nu(F) = v to at least min(2v - 2, 2K): 5, 8, 14, 26, 50.  Four
+# steps reach 2K.
 _NEWTON_STEPS = 4
 
 
@@ -154,9 +155,7 @@ def _class_data():
     a, b = to_pairs([ProjPoint(residue_tuple(lp)) for lp in params])
     hensel = np.array([HENSEL_INDEX[lp.family] for lp in params])
     free = np.array([FREE_INDICES[lp.family] for lp in params])
-    pi3 = PI * PI * PI
-    pi4 = pi3 * PI
-    bumps = tuple((x.a % MOD, x.b % MOD) for x in (pi3, pi4))
+    bumps = tuple((x.a % MOD, x.b % MOD) for x in (PI3, PI3 * PI))
     return a, b, hensel, free, bumps
 
 
@@ -199,7 +198,7 @@ def lift_pairs(
         f = _add(_mul(x2, x), rest)
         v = _nu(f)
         if step == 0:
-            criterion = v >= _HENSEL_CRITERION
+            criterion = v >= HENSEL_CRITERION
         if step == _NEWTON_STEPS or np.all(v >= n):
             break
         # x <- x - F / (3 x^2); nu(F) >= 2 makes F / 3 exact, known mod 3^(K-1).

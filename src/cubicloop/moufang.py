@@ -263,10 +263,18 @@ def _first_mismatch(sides) -> tuple | None:
     return next(filter(None, (_mismatch(*sides(x), x) for x in range(N_CLASSES))), None)
 
 
+def _stray_cell(table: np.ndarray) -> tuple[int, int] | None:
+    """The first cell, in row order, that holds no class id, or None."""
+    stray = (table < 0) | (table >= N_CLASSES)
+    return tuple(int(v) for v in np.argwhere(stray)[0]) if stray.any() else None
+
+
 def verify_quasigroup(t: ClassTable) -> CheckReport:
-    """Exhaustive check of x o y = y o x and x o (x o y) = y."""
+    """Exhaustive check of class ids, x o y = y o x and x o (x o y) = y."""
     circ = t.circ
     ids = np.arange(N_CLASSES)
+    if (cell := _stray_cell(circ)) is not None:
+        return CheckReport("class ids", False, N_CLASSES**2, cell, f"value {circ[cell]}")
     if (bad := _mismatch(circ, circ.T)) is not None:
         return CheckReport("symmetric", False, N_CLASSES**2, bad)
     if (bad := _first_mismatch(lambda x: (circ[x, circ[x]], ids))) is not None:
@@ -288,9 +296,8 @@ def _gather_views(mul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     bytes and converts no index.  ValueError names the first cell that is
     no class id: a negative one would index from the end, and one above 255
     would wrap in the cast."""
-    if mul.min() < 0 or mul.max() >= N_CLASSES:
-        x, y = np.argwhere((mul < 0) | (mul >= N_CLASSES))[0]
-        raise ValueError(f"loop table cell ({x}, {y}) is {mul[x, y]}, not a class id")
+    if (cell := _stray_cell(mul)) is not None:
+        raise ValueError(f"loop table cell {cell} is {mul[cell]}, not a class id")
     return mul.astype(np.uint8), mul.astype(np.intp)
 
 

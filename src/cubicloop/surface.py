@@ -102,8 +102,7 @@ class LambdaParams:
     """Label of one of the 243 canonical classes mod pi^3.
 
     digits are (y, z, u) for family P, (y1, z1, u1) for family Q and
-    (x, z2, u2) for family R; the coupled sign (epsilon, delta, sigma)
-    equals digits[0] for P and digits[1] for Q and R."""
+    (x, z2, u2) for family R."""
 
     family: str
     exp: int
@@ -116,10 +115,6 @@ class LambdaParams:
             raise ValueError(f"theta exponent must be 0..2, got {self.exp}")
         if len(self.digits) != 3 or any(d not in (-1, 0, 1) for d in self.digits):
             raise ValueError(f"digits must be three of -1,0,1, got {self.digits}")
-
-    @property
-    def coupled_sign(self) -> int:
-        return self.digits[0] if self.family == "P" else self.digits[1]
 
 
 def eval_form(p: ProjPoint) -> RingElt:
@@ -209,17 +204,6 @@ def tangent_section_point(p: ProjPoint, d: tuple[RingElt, ...]) -> ProjPoint:
     return ProjPoint(coords, prec)
 
 
-def _poly_eval(g: list[RingElt], y: RingElt) -> RingElt:
-    acc = ZERO
-    for coeff in reversed(g):
-        acc = acc * y + coeff
-    return acc
-
-
-def _poly_deriv(g: list[RingElt]) -> list[RingElt]:
-    return [i * c for i, c in enumerate(g)][1:]
-
-
 def _clamp(x: RingElt, n: int) -> RingElt:
     """Centered coefficient reduction mod 3^m with 2m >= n: preserves x mod pi^n."""
     m = n // 2 + 1
@@ -231,26 +215,6 @@ def _clamp(x: RingElt, n: int) -> RingElt:
     if b > mod // 2:
         b -= mod
     return RingElt(a, b)
-
-
-def hensel_lift_root(g: list[RingElt], y0: RingElt, n: int) -> RingElt:
-    """Newton-refine y0 to a root of g with nu(g(y)) >= n.
-
-    Requires the general criterion nu(g(y0)) > 2*nu(g'(y0))."""
-    dg = _poly_deriv(g)
-    t = nu(_poly_eval(dg, y0))
-    s = nu(_poly_eval(g, y0))
-    if t == INFINITE or s <= 2 * t:
-        raise HenselCriterionFailed(f"nu(g(y0))={s} not > 2*nu(g'(y0))={2 * t}")
-    y = y0
-    work = n + 2 * int(t) + 4
-    for _ in range(80):
-        fy = _poly_eval(g, y)
-        if nu(fy) >= n:
-            return y
-        dfy = _poly_eval(dg, y)
-        y = _clamp(y - div_exact(fy, dfy, work), work)
-    raise PrecisionExhausted("Newton iteration did not converge")
 
 
 def residue_tuple(lp: LambdaParams) -> tuple[RingElt, RingElt, RingElt, RingElt]:
@@ -282,6 +246,7 @@ def residue_tuple(lp: LambdaParams) -> tuple[RingElt, RingElt, RingElt, RingElt]
 
 
 HENSEL_INDEX = {"P": 1, "Q": 2, "R": 2}
+HENSEL_CRITERION = 5  # nu(F) > 2*nu(3x^2) at the class tuple: Hensel's lemma
 
 
 def canonical_form(lp: LambdaParams) -> CanonicalForm:
@@ -290,41 +255,27 @@ def canonical_form(lp: LambdaParams) -> CanonicalForm:
     return CanonicalForm(tuple(to_digits(c, 3) for c in coords), pivot)
 
 
-def _solve_hensel_coordinate(
-    coords: list[RingElt], idx: int, exp: int, w0: int, n: int
-) -> RingElt:
-    """Resolve coordinate idx = -theta^exp + pi^2*w with w = w0 mod pi so
-    that nu(F) >= n; returns the full coordinate value."""
-    base = -(THETA**exp)
-    c = FORM_COEFFS[idx]
-    rest = ZERO
-    for j, coeff in enumerate(FORM_COEFFS):
-        if j != idx:
-            rest = rest + coeff * coords[j] ** 3
-    g = [
-        rest + c * base**3,
-        c * 3 * base * base * PI2,
-        c * 3 * base * PI2 * PI2,
-        c * PI2**3,
-    ]
-    ghat = []
-    for coeff in g:
-        if nu(coeff) < 4:
-            raise HenselCriterionFailed(
-                f"lifting equation coefficient {coeff!r} not divisible by pi^4"
-            )
-        v = coeff
-        for _ in range(4):
-            v = divide_by_pi(v)
-        ghat.append(v)
-    w = hensel_lift_root(ghat, RingElt(w0), n - 4)
-    return _clamp(base + PI2 * w, n + 2)
+def _solve_hensel_coordinate(coords: list[RingElt], idx: int, n: int) -> RingElt:
+    """Newton's method x <- x - F/(3x^2) on x = coords[idx] (form coefficient
+    1) until nu(F) >= n; the root is unique mod pi^(n - 2)."""
+    x = coords[idx]
+    f = eval_form(ProjPoint(tuple(coords)))
+    rest, v = f - x**3, nu(f)
+    if v < HENSEL_CRITERION:
+        raise HenselCriterionFailed(f"nu(F) = {v} < {HENSEL_CRITERION} at the class tuple")
+    while v < n:
+        x = _clamp(x - div_exact(f, 3 * x * x, n), n + 2)
+        f = x**3 + rest
+        if nu(f) <= v:
+            raise PrecisionExhausted(f"a Newton step left nu(F) at {nu(f)}")
+        v = nu(f)
+    return x
 
 
 def lift_representative(lp: LambdaParams, n: int = DEFAULT_PRECISION) -> ProjPoint:
     coords = list(residue_tuple(lp))
     idx = HENSEL_INDEX[lp.family]
-    coords[idx] = _solve_hensel_coordinate(coords, idx, lp.exp, lp.coupled_sign, n)
+    coords[idx] = _solve_hensel_coordinate(coords, idx, n)
     return ProjPoint(tuple(coords), n)
 
 
@@ -364,7 +315,7 @@ def random_lift(lp: LambdaParams, n: int, seed: int) -> ProjPoint:
         a3, b3, a4, b4 = digits[4 * k : 4 * k + 4]
         coords[i] = coords[i] + RingElt(a3, b3) * PI3 + RingElt(a4, b4) * PI3 * PI
     idx = HENSEL_INDEX[lp.family]
-    coords[idx] = _solve_hensel_coordinate(coords, idx, lp.exp, lp.coupled_sign, n)
+    coords[idx] = _solve_hensel_coordinate(coords, idx, n)
     return ProjPoint(tuple(coords), n)
 
 

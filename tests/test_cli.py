@@ -78,6 +78,23 @@ class TestLift:
         p = ProjPoint(parse_point(out.strip()))
         assert nu(eval_form(p)) >= 12
 
+    @pytest.mark.parametrize(
+        "args, line",
+        [
+            (
+                ("lift", "--family", "P", "--params", "0,1,0,0"),
+                "1:-1+p^2-p^3-p^4+p^6-p^7-p^8:p:-p",
+            ),
+            (
+                ("--precision", "20", "lift", "--family", "R", "--params", "2,1,-1,0"),
+                "-p+p^2:1:-1-p+p^2-p^3-p^5-p^7+p^8-p^9+p^10+p^11+p^14+p^16+p^18+p^19:p",
+            ),
+        ],
+        ids=["P-default-precision", "R-precision-20"],
+    )
+    def test_lift_prints_the_pinned_point(self, capsys, args, line):
+        assert run(capsys, *args)[:2] == (0, line + "\n")
+
     def test_bad_params(self, capsys):
         code, _, err = run(capsys, "lift", "--family", "P", "--params", "0,1")
         assert code == 2

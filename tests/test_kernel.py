@@ -63,7 +63,7 @@ def check_lifts(classes, seeds, n):
         assert nu(eval_form(p)) >= n
 
 
-@pytest.mark.parametrize("n", [6, 12, 24])
+@pytest.mark.parametrize("n", [6, 7, 12, 24, 38])
 def test_lifts_match_the_exact_path(n):
     classes = list(range(M.N_CLASSES))
     check_lifts(classes, None, n)

@@ -312,6 +312,16 @@ class TestCorruption:
         assert not report.passed
         assert report.counterexample is not None
 
+    @pytest.mark.parametrize("bad", [250, M.N_CLASSES, -1])
+    def test_quasigroup_names_an_entry_that_is_no_class(self, table, bad):
+        # symmetric, so only the range check can see it; -1 would index from
+        # the end and 243 or more out of range
+        circ = table.circ.copy()
+        circ[3, 7] = circ[7, 3] = bad
+        report = M.verify_quasigroup(M.ClassTable(circ, table.precision, table.seed))
+        assert (report.passed, report.counterexample) == (False, (3, 7))
+        assert report.detail == f"value {bad}"
+
     def test_cml_detects_bad_cell(self, table, loop):
         failed = set()
         for corrupt in corrupted_loops(table, loop).values():

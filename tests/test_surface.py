@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import cubicloop.surface as surface
 import oracles
 from cubicloop.eisenstein import (
     ONE,
@@ -17,6 +18,7 @@ from cubicloop.eisenstein import (
     to_digits,
 )
 from cubicloop.surface import (
+    HENSEL_INDEX,
     DegenerateLine,
     HenselCriterionFailed,
     LambdaParams,
@@ -29,7 +31,6 @@ from cubicloop.surface import (
     compose_parametric,
     enumerate_classes,
     eval_form,
-    hensel_lift_root,
     lift_representative,
     normalize,
     random_lift,
@@ -192,18 +193,30 @@ class TestTangent:
 
 
 class TestHensel:
-    def test_exact_root(self):
-        g = [ZERO, -ONE, ZERO, ONE]  # y^3 - y
-        assert hensel_lift_root(g, ONE, 12) == ONE
+    def test_criterion_failure(self, monkeypatch):
+        # a Hensel coordinate moved by 3 gives a tuple with nu(F) = 4, which
+        # fails the criterion nu(F) > 2*nu(3x^2) = 4; the pi^3 and pi^4 bumps
+        # of a random lift leave nu(F) at 4
+        def shifted(lp):
+            coords = list(residue_tuple(lp))
+            coords[HENSEL_INDEX[lp.family]] += 3
+            return tuple(coords)
 
-    def test_square_root_of_one_plus_pi(self):
-        g = [-(ONE + PI), ZERO, ONE]
-        y = hensel_lift_root(g, ONE, 12)
-        assert nu(y * y - (ONE + PI)) >= 12
+        monkeypatch.setattr(surface, "residue_tuple", shifted)
+        for lp in all_params()[::40]:
+            assert nu(eval_form(ProjPoint(shifted(lp)))) == 4
+            with pytest.raises(HenselCriterionFailed):
+                lift_representative(lp, 12)
+            with pytest.raises(HenselCriterionFailed):
+                random_lift(lp, 12, 5)
 
-    def test_criterion_failure(self):
-        with pytest.raises(HenselCriterionFailed):
-            hensel_lift_root([-PI, ZERO, ONE], ZERO, 8)
+    def test_step_without_progress_is_refused(self, monkeypatch):
+        lp = LambdaParams("P", 0, (1, 0, -1))
+        assert nu(eval_form(ProjPoint(residue_tuple(lp)))) < 12
+        # a zero Newton step leaves x, and so nu(F), where they are
+        monkeypatch.setattr(surface, "div_exact", lambda *args: ZERO)
+        with pytest.raises(PrecisionExhausted):
+            lift_representative(lp, 12)
 
 
 class TestLifting:
@@ -294,7 +307,3 @@ class TestLambdaParams:
     def test_validation(self, family, exp, digits):
         with pytest.raises(ValueError):
             LambdaParams(family, exp, digits)
-
-    def test_coupled_sign(self):
-        assert LambdaParams("P", 0, (1, 0, -1)).coupled_sign == 1
-        assert LambdaParams("Q", 0, (1, -1, 0)).coupled_sign == -1
