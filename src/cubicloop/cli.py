@@ -9,9 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from . import moufang, surface
 from .eisenstein import PrecisionExhausted, RingElt, nu, to_digits
@@ -121,6 +125,32 @@ def _build(cfg: Config) -> tuple[ClassTable, LoopTable]:
     return table, loop_from(table, named_class(moufang.U0))
 
 
+# Array rows reach `default` and are encoded as lists.
+_encode = functools.partial(
+    json.dumps, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist
+)
+
+
+def _write_json(fh, doc: dict) -> None:
+    """Write the text of `json.dump(doc, fh, sort_keys=True, separators=(",",
+    ":"))`, arrays as nested lists.  `json.dump` runs the pure-Python
+    encoder; `json.dumps` runs the C one.  So each field is encoded with
+    `json.dumps`, a list or array field one item (row) at a time, and written
+    as it is made: no string of the whole document is held."""
+    fh.write("{")
+    for k, key in enumerate(sorted(doc)):
+        fh.write(("," if k else "") + _encode(key) + ":")
+        value = doc[key]
+        if isinstance(value, (list, np.ndarray)):
+            fh.write("[")
+            for i, item in enumerate(value):
+                fh.write(("," if i else "") + _encode(item))
+            fh.write("]")
+        else:
+            fh.write(_encode(value))
+    fh.write("}")
+
+
 def export_table(t: ClassTable, l: LoopTable, cfg: Config) -> None:
     if cfg.out is None:
         raise ParseError("--out is required for table export")
@@ -141,20 +171,22 @@ def export_table(t: ClassTable, l: LoopTable, cfg: Config) -> None:
             "precision": t.precision,
             "unit": int(l.unit),
             "classes": classes,
-            "circ": t.circ.tolist(),
-            "mul": l.mul.tolist(),
+            "circ": t.circ,
+            "mul": l.mul,
         }
         with open(cfg.out, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
+            _write_json(fh, doc)
             fh.write("\n")
     elif cfg.fmt == "csv":
+        # One writerows per table row: a single call over all 118,098 lines
+        # would hold them at once (5.7 MB) and was no faster.
+        cols = range(moufang.N_CLASSES)
         with open(cfg.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["op", "row", "col", "value"])
             for name, table in (("circ", t.circ), ("mul", l.mul)):
-                for i in range(moufang.N_CLASSES):
-                    for j in range(moufang.N_CLASSES):
-                        writer.writerow([name, i, j, int(table[i, j])])
+                for i, row in enumerate(table):
+                    writer.writerows(zip(repeat(name), repeat(i), cols, row.tolist()))
     else:
         raise ParseError(f"unknown format {cfg.fmt!r}")
 

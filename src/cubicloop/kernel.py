@@ -78,15 +78,38 @@ def _unit_inverse(x):
     return (a - b) * y % MOD, -b * y % MOD
 
 
+# Residues below 3^K <= 3^(2 * _LOW) split into a low and a high part of
+# _LOW ternary digits each.
+_LOW = 10
+if K > 2 * _LOW:
+    raise AssertionError(f"residues mod 3^{K} have more than {2 * _LOW} ternary digits")
+
+
+def _low_v3_table() -> np.ndarray:
+    """nu_3(x) for x in [0, 3^_LOW), with nu_3(0) read as _LOW."""
+    v = np.zeros(3**_LOW, dtype=np.int8)
+    for k in range(1, _LOW + 1):
+        v[:: 3**k] += 1
+    return v
+
+
+_LOW_V3 = _low_v3_table()
+
+
+def _v3(x: np.ndarray) -> np.ndarray:
+    """nu_3 of residues in [0, 3^K), read as at least K for 0."""
+    low = _LOW_V3[x % 3**_LOW]
+    return np.where(low == _LOW, _LOW + _LOW_V3[x // 3**_LOW], low)
+
+
 def _nu(x) -> np.ndarray:
     """pi-adic valuation of residue pairs, capped at 2K.
 
-    With 3^t = gcd(a, b, 3^K), nu = 2t, plus 1 when a/3^t + b/3^t = 0 mod 3
-    (the pair is then divisible by pi but not by 3)."""
+    With t = min(nu_3(a), nu_3(b), K), nu = 2t, plus 1 when a/3^t + b/3^t
+    = 0 mod 3 (the pair is then divisible by pi but not by 3)."""
     a, b = x
-    g = np.gcd(np.gcd(a, b), MOD)
-    t = np.searchsorted(_POW3, g)
-    odd = (a // g + b // g) % 3 == 0
+    t = np.minimum(np.minimum(_v3(a), _v3(b)), K)
+    odd = (a // _POW3[t] + b // _POW3[t]) % 3 == 0
     return np.minimum(2 * t + odd, 2 * K)
 
 

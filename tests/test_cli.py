@@ -1,6 +1,7 @@
 """Subcommand behavior and exit codes of the command-line front end."""
 
 import ast
+import hashlib
 import json
 import re
 
@@ -122,7 +123,27 @@ class TestExitCodeMapping:
         assert code == 3 and "precision failure" in err
 
 
+# sha256 of the exported files at the default precision; the table does not
+# depend on the seed.
+JSON_SHA256 = "47d5e324470550e4a9f7a124e3af7ad59a87261d4a7e6502ec00d90998ab38b8"
+CSV_SHA256 = "025d4392644e77e82599a1d7932d8b65e2058be11473c3db10f883e4799d2a3c"
+
+
 class TestTableExport:
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["table"], JSON_SHA256),
+            (["--seed", "1", "table"], JSON_SHA256),
+            (["table", "--format", "csv"], CSV_SHA256),
+        ],
+        ids=["json-seed-0", "json-seed-1", "csv"],
+    )
+    def test_export_bytes_are_pinned(self, capsys, tmp_path, argv, digest):
+        out = tmp_path / "t"
+        assert run(capsys, *argv, "--out", str(out))[0] == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     def test_json_schema_and_determinism(self, capsys, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

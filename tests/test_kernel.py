@@ -130,6 +130,32 @@ def test_unit_inverse():
     assert (one_a == 1).all() and (one_b == 0).all()
 
 
+def residues():
+    """Residues in [0, 3^K): any, or a multiple of 3^k for some k <= K."""
+    mod = kernel.MOD
+    return st.integers(0, mod - 1) | st.builds(
+        lambda k, m: 3**k * m % mod, st.integers(0, kernel.K), st.integers(0, mod - 1)
+    )
+
+
+# (0, 0), 3^k on either side, and b = -a, for every k <= K
+EDGE_PAIRS = [(0, 0)] + [
+    pair
+    for k in range(kernel.K + 1)
+    for pair in ((3**k, 0), (0, 3**k), (3**k, -(3**k)))
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(residues(), residues(), st.booleans()), max_size=40))
+def test_nu_is_the_exact_valuation_capped_at_2k(draws):
+    # the flag turns (a, b) into the odd case (a, -a): a + b*theta = a(1 - theta)
+    pairs = EDGE_PAIRS + [(a, -a if odd else b) for a, b, odd in draws]
+    a, b = (np.array([x[k] % kernel.MOD for x in pairs], dtype=np.int64) for k in (0, 1))
+    want = [min(nu(RingElt(int(x), int(y))), 2 * kernel.K) for x, y in zip(a, b)]
+    assert kernel._nu((a, b)).tolist() == want
+
+
 def admissibility_draws(cells, samples, seed):
     """(i, j, sample, seed pair) in the order `check_admissibility` draws
     them, one cell and one sample at a time."""

@@ -7,7 +7,7 @@ import pytest
 
 import cubicloop.moufang as M
 from cubicloop import kernel
-from cubicloop.eisenstein import ONE, PI, THETA, ZERO
+from cubicloop.eisenstein import ONE, THETA, ZERO
 from cubicloop.surface import ProjPoint, _draw, normalize
 
 

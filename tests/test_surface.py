@@ -15,11 +15,9 @@ from cubicloop.eisenstein import (
     RingElt,
     equal_mod,
     nu,
-    to_digits,
 )
 from cubicloop.surface import (
     HENSEL_INDEX,
-    DegenerateLine,
     HenselCriterionFailed,
     LambdaParams,
     NotTangentDirection,
