@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
-"""Median wall time per call of each L4 loop check, of the table build and
-of the JSON export.
+"""Median wall time per call of each L4 loop check, of the table build, of
+the JSON export and of an admissibility check.
 
 Builds the table once at precision 12, then for `--units` unit classes in
 turn makes the loop and times one call of every L4 function, in the order
 of the benchmark's `verify` op; `suite` is the sum of them per unit.  For
 each unit it also times one cold `build_class_table(12)` with the unit's
-seed (L2) and one `cli.export_table` of that table and its loop to a JSON
-file in a temporary directory (L5), as the benchmark's `table` op does.
+seed (L2), one `cli.export_table` of that table and its loop to a JSON
+file in a temporary directory (L5), as the benchmark's `table` op does,
+and one `check_admissibility` of 50 cells x 20 lift pairs with the unit's
+seed (L3), as the benchmark's `admissibility` op does.
 Prints one JSON object: the medians in seconds, by function name.
 
 Usage:
@@ -27,6 +29,7 @@ import cubicloop.moufang as M
 
 PRECISION = 12
 CH_SAMPLES = 200
+ADMISSIBILITY = (50, 20)  # cells, lift pairs per cell
 
 
 def _timer(times: dict[str, float]):
@@ -56,8 +59,8 @@ def time_unit(t, unit: int, seed: int) -> dict[str, float]:
 
 
 def time_table(unit: int, seed: int, out: Path) -> dict[str, float]:
-    """Seconds of one table build with `seed` and one JSON export of it with
-    its loop with `unit`."""
+    """Seconds of one table build with `seed`, one JSON export of it with its
+    loop with `unit` and one admissibility check of it with `seed`."""
     times = {}
     timed = _timer(times)
     t = timed(
@@ -65,6 +68,7 @@ def time_table(unit: int, seed: int, out: Path) -> dict[str, float]:
     )
     cfg = cli.Config(precision=PRECISION, seed=seed, out=str(out))
     timed("export_table", cli.export_table, t, M.loop_from(t, unit), cfg)
+    timed("check_admissibility", M.check_admissibility, t, *ADMISSIBILITY, seed)
     return times
 
 

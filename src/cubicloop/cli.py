@@ -125,35 +125,43 @@ def _build(cfg: Config) -> tuple[ClassTable, LoopTable]:
     return table, loop_from(table, named_class(moufang.U0))
 
 
-# Array rows reach `default` and are encoded as lists.
-_encode = functools.partial(
-    json.dumps, sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist
-)
+_encode = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+# Decimal text of each class id, indexed by the id.
+_ID_TEXT = np.array([str(k) for k in range(moufang.N_CLASSES)], dtype=object)
 
 
 def _write_json(fh, doc: dict) -> None:
     """Write the text of `json.dump(doc, fh, sort_keys=True, separators=(",",
     ":"))`, arrays as nested lists.  `json.dump` runs the pure-Python
     encoder; `json.dumps` runs the C one.  So each field is encoded with
-    `json.dumps`, a list or array field one item (row) at a time, and written
-    as it is made: no string of the whole document is held."""
+    `json.dumps`, a list field one item at a time, and written as it is made:
+    no string of the whole document is held.  An array field is a table of
+    class ids, written one row at a time from the ids' decimal text."""
     fh.write("{")
     for k, key in enumerate(sorted(doc)):
         fh.write(("," if k else "") + _encode(key) + ":")
         value = doc[key]
-        if isinstance(value, (list, np.ndarray)):
-            fh.write("[")
-            for i, item in enumerate(value):
-                fh.write(("," if i else "") + _encode(item))
-            fh.write("]")
+        if isinstance(value, np.ndarray):
+            items = ("[" + ",".join(_ID_TEXT[row].tolist()) + "]" for row in value)
+        elif isinstance(value, list):
+            items = map(_encode, value)
         else:
             fh.write(_encode(value))
+            continue
+        fh.write("[")
+        for i, item in enumerate(items):
+            fh.write(("," if i else "") + item)
+        fh.write("]")
     fh.write("}")
 
 
 def export_table(t: ClassTable, l: LoopTable, cfg: Config) -> None:
     if cfg.out is None:
         raise ParseError("--out is required for table export")
+    for name, table in (("circ", t.circ), ("mul", l.mul)):
+        # a negative entry would index `_ID_TEXT` from its end
+        if (cell := moufang._stray_cell(table)) is not None:
+            raise ValueError(f"{name} cell {cell} is {table[cell]}, not a class id")
     if cfg.fmt == "json":
         classes = []
         for k, (lp, form) in enumerate(zip(class_params(), class_forms())):

@@ -37,45 +37,62 @@ from .surface import (
 
 K = 19
 MOD = 3**K
-# `_mul` adds two products of residues in [0, MOD) before reducing; the sum
-# must stay below 2^63.  K = 19 is the largest K for which it does.
-if 2 * (MOD - 1) ** 2 >= 2**63:
-    raise AssertionError(f"residue products mod 3^{K} overflow int64")
+# A product of two residues in [0, MOD) has both components within (MOD-1)^2
+# of 0: 0 <= ac, bd <= (MOD-1)^2, and ad + b(c - d) lies in [0, (MOD-1)c]
+# when c >= d and in [-b(d - c), ad] when c < d.  `_block_codes` sums four
+# such products (A, B), or takes the difference of two (R), before it
+# reduces, and `_reduce` needs its argument above -2^63 + MOD.  At K = 20 a
+# single product would overflow int64.
+if 4 * (MOD - 1) ** 2 >= 2**63 - MOD:
+    raise AssertionError(f"sums of residue products mod 3^{K} overflow int64")
 
 # Cells per block: keeps the temporaries of one block near 1 MB.
 BLOCK = 1024
 
-_POW3 = 3 ** np.arange(K + 1, dtype=np.int64)
+_POW3 = 3 ** np.arange(K + 2, dtype=np.int64)
 # The chord's margin rule: normalize(r, 3, margin=3) needs prec - vmin >= 6.
 _DIGITS = 3
 _MARGIN = 3
 
 
-def _mul(x, y, mod: int = MOD):
-    """(a + b*theta)(c + d*theta) = (ac - bd) + (ad + bc - bd)*theta."""
+def _reduce(x, mod: int = MOD):
+    """x mod `mod`, as `x % mod`, for int64 x above -2^63 + mod.  numpy
+    divides an int64 array by a scalar with a multiply and a shift, but runs
+    `%` as a hardware division, about five times slower."""
+    return x - x // mod * mod
+
+
+def _prod(x, y):
+    """(a + b*theta)(c + d*theta) = (ac - bd) + (ad + bc - bd)*theta,
+    unreduced."""
     (a, b), (c, d) = x, y
-    bd = b * d % mod
-    return (a * c - bd) % mod, (a * d + b * c - bd) % mod
+    bd = b * d
+    return a * c - bd, a * d + b * c - bd
+
+
+def _mul(x, y, mod: int = MOD):
+    ra, rb = _prod(x, y)
+    return _reduce(ra, mod), _reduce(rb, mod)
 
 
 def _add(x, y):
-    return (x[0] + y[0]) % MOD, (x[1] + y[1]) % MOD
+    return _reduce(x[0] + y[0]), _reduce(x[1] + y[1])
 
 
 def _times_theta(x):
     a, b = x
-    return -b % MOD, (a - b) % MOD
+    return _reduce(-b), _reduce(a - b)
 
 
 def _unit_inverse(x):
     """Inverse of units a + b*theta: conj(x) / N(x), with 1/N by the integer
     Newton step y <- y(2 - N*y), which doubles the correct digits of y."""
     a, b = x
-    norm = (a * a % MOD - a * b % MOD + b * b % MOD) % MOD
-    y = norm % 3  # N = +-1 mod 3 is its own inverse mod 3
+    norm = _reduce(a * a - a * b + b * b)
+    y = _reduce(norm, 3)  # N = +-1 mod 3 is its own inverse mod 3
     for _ in range((K - 1).bit_length()):
-        y = y * ((2 - norm * y) % MOD) % MOD
-    return (a - b) * y % MOD, -b * y % MOD
+        y = _reduce(y * _reduce(2 - norm * y))
+    return _reduce((a - b) * y), _reduce(-b * y)
 
 
 # Residues below 3^K <= 3^(2 * _LOW) split into a low and a high part of
@@ -98,7 +115,7 @@ _LOW_V3 = _low_v3_table()
 
 def _v3(x: np.ndarray) -> np.ndarray:
     """nu_3 of residues in [0, 3^K), read as at least K for 0."""
-    low = _LOW_V3[x % 3**_LOW]
+    low = _LOW_V3[_reduce(x, 3**_LOW)]
     return np.where(low == _LOW, _LOW + _LOW_V3[x // 3**_LOW], low)
 
 
@@ -106,10 +123,11 @@ def _nu(x) -> np.ndarray:
     """pi-adic valuation of residue pairs, capped at 2K.
 
     With t = min(nu_3(a), nu_3(b), K), nu = 2t, plus 1 when a/3^t + b/3^t
-    = 0 mod 3 (the pair is then divisible by pi but not by 3)."""
+    = 0 mod 3, that is a + b = 0 mod 3^(t+1) (the pair is then divisible by
+    pi but not by 3)."""
     a, b = x
     t = np.minimum(np.minimum(_v3(a), _v3(b)), K)
-    odd = (a // _POW3[t] + b // _POW3[t]) % 3 == 0
+    odd = (a + b) % _POW3[t + 1] == 0
     return np.minimum(2 * t + odd, 2 * K)
 
 
@@ -125,12 +143,13 @@ def form_code(form: CanonicalForm) -> int:
 
 
 @lru_cache(maxsize=1)
-def _residue_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indexed by 9a + b for a + b*theta mod 9 (= mod pi^4): the code of its
-    first three digits, and for units a, b of an inverse mod pi^3."""
-    digits = np.zeros(81, dtype=np.int64)
-    inv_a = np.zeros(81, dtype=np.int64)
-    inv_b = np.zeros(81, dtype=np.int64)
+def _quotient_digits() -> np.ndarray:
+    """Indexed by (9a + b, 9c + d) for x = a + b*theta and a unit w = c +
+    d*theta mod 9 (= mod pi^4): the code of the first three digits of x / w."""
+    # int16 holds every value and keeps the 81 x 81 temporaries small
+    digits = np.zeros(81, dtype=np.int16)
+    inv_a = np.zeros(81, dtype=np.int16)
+    inv_b = np.zeros(81, dtype=np.int16)
     for a in range(9):
         for b in range(9):
             x = RingElt(a, b)
@@ -138,19 +157,25 @@ def _residue_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             if (a + b) % 3:
                 w = invert(x, _DIGITS)
                 inv_a[9 * a + b], inv_b[9 * a + b] = w.a % 9, w.b % 9
-    return digits, inv_a, inv_b
+    x = np.arange(81, dtype=np.int16)[:, None]
+    qa, qb = _mul((x // 9, x % 9), (inv_a, inv_b), 9)
+    return digits[9 * qa + qb]
 
 
 def _pi_shifts() -> tuple[np.ndarray, np.ndarray]:
-    """(2 + theta)^v mod 3^K for v = 0..K; pi * (2 + theta) = 3, so
-    x / pi^v = x * (2 + theta)^v / 3^v."""
-    powers = [(1, 0)]
-    for _ in range(K):
-        powers.append(_mul(powers[-1], (2, 1)))
-    return tuple(np.array(c, dtype=np.int64) for c in zip(*powers))
+    """s_v = (2 + theta)^v * 3^(K-2-v) mod 3^K for v = 0..K-2.  Since pi *
+    (2 + theta) = 3, x * s_v = 3^(K-2) * (x / pi^v) for x divisible by
+    pi^v, so (x * s_v mod 3^K) / 3^(K-2) is x / pi^v mod 9."""
+    shifts, power = [], (1, 0)
+    for v in range(K - 1):
+        shifts.append(_mul(power, (3 ** (K - 2 - v), 0)))
+        power = _mul(power, (2, 1))
+    return tuple(np.array(c, dtype=np.int64) for c in zip(*shifts))
 
 
 _SHIFT_A, _SHIFT_B = _pi_shifts()
+# The digit codes of the four coordinates go in base 27 (`form_code`).
+_CODE_WEIGHTS = 27 ** np.arange(4, dtype=np.int64)[:, None]
 
 
 def to_pairs(points: Sequence[ProjPoint]) -> tuple[np.ndarray, np.ndarray]:
@@ -214,7 +239,7 @@ def lift_pairs(
     ca, cb = _mul(_mul((a, b), (a, b)), (a, b))
     ca[:, 3], cb[:, 3] = _times_theta((ca[:, 3], cb[:, 3]))
     ca[rows, h] = cb[rows, h] = 0
-    rest = ca.sum(axis=1) % MOD, cb.sum(axis=1) % MOD
+    rest = _reduce(ca.sum(axis=1)), _reduce(cb.sum(axis=1))
     x = a[rows, h], b[rows, h]
     for step in range(_NEWTON_STEPS + 1):
         x2 = _mul(x, x)
@@ -226,7 +251,7 @@ def lift_pairs(
             break
         # x <- x - F / (3 x^2); nu(F) >= 2 makes F / 3 exact, known mod 3^(K-1).
         dx = _mul((f[0] // 3, f[1] // 3), _unit_inverse(x2))
-        x = (x[0] - dx[0]) % MOD, (x[1] - dx[1]) % MOD
+        x = _reduce(x[0] - dx[0]), _reduce(x[1] - dx[1])
     a[rows, h], b[rows, h] = x
     return (a, b), criterion & (v >= n)
 
@@ -244,30 +269,31 @@ def chord_codes(
     mod-pi^4 residue (vmin > K - 2)."""
     prec = min(prec, 2 * K)
     i, j = np.asarray(i), np.asarray(j)
+    # coordinate-major, so that sums and minima over the four coordinates
+    # run over rows
+    coords = tuple(np.ascontiguousarray(x.T) for x in pairs)
     out = np.empty(len(i), dtype=np.int64)
     for start in range(0, len(i), BLOCK):
         sl = slice(start, start + BLOCK)
-        out[sl] = _block_codes(pairs, i[sl], j[sl], prec)
+        out[sl] = _block_codes(coords, i[sl], j[sl], prec)
     return out
 
 
-def _block_codes(pairs, i, j, prec: int) -> np.ndarray:
-    pa, pb = pairs[0][i], pairs[1][i]
-    qa, qb = pairs[0][j], pairs[1][j]
-    # A = sum c_k p_k^2 q_k, B = sum c_k p_k q_k^2 with c = (1, 1, 1, theta).
-    pq = _mul((pa, pb), (qa, qb))
-    ta, tb = _mul(pq, (pa, pb))
-    ua, ub = _mul(pq, (qa, qb))
-    ta[:, 3], tb[:, 3] = _times_theta((ta[:, 3], tb[:, 3]))
-    ua[:, 3], ub[:, 3] = _times_theta((ua[:, 3], ub[:, 3]))
-    A = ta.sum(axis=1) % MOD, tb.sum(axis=1) % MOD
-    B = ua.sum(axis=1) % MOD, ub.sum(axis=1) % MOD
+def _block_codes(coords, i, j, prec: int) -> np.ndarray:
+    """`chord_codes` of one block, on residues of shape (4, m)."""
+    p = coords[0].take(i, axis=1), coords[1].take(i, axis=1)
+    q = coords[0].take(j, axis=1), coords[1].take(j, axis=1)
+    # A = sum c_k p_k^2 q_k, B = sum c_k p_k q_k^2 with c = (1, 1, 1, theta):
+    # the four products of c*p*q (reduced) with p or q, summed, then reduced.
+    cpq = _mul(p, q)
+    cpq[0][3], cpq[1][3] = _times_theta((cpq[0][3], cpq[1][3]))
+    A = tuple(_reduce(x.sum(axis=0)) for x in _prod(cpq, p))
+    B = tuple(_reduce(x.sum(axis=0)) for x in _prod(cpq, q))
     # R = B*p - A*q
-    bp = _mul((B[0][:, None], B[1][:, None]), (pa, pb))
-    aq = _mul((A[0][:, None], A[1][:, None]), (qa, qb))
-    ra, rb = (bp[0] - aq[0]) % MOD, (bp[1] - aq[1]) % MOD
-    vals = _nu((ra, rb))
-    vmin = vals.min(axis=1)
+    bp, aq = _prod(B, p), _prod(A, q)
+    r = _reduce(bp[0] - aq[0]), _reduce(bp[1] - aq[1])
+    vals = _nu(r)
+    vmin = vals.min(axis=0)
     # With integral coordinates vmin >= min(nu(A), nu(B)), so the normalize
     # guard implies the chord guard; both are kept, as on the exact path.
     ok = (
@@ -276,16 +302,12 @@ def _block_codes(pairs, i, j, prec: int) -> np.ndarray:
         & (vmin <= K - 2)
     )
     v = np.where(ok, vmin, 0)
-    # Divide every coordinate by pi^v: times (2 + theta)^v, then exactly by
-    # 3^v.  The quotient is known mod 3^(K - v), at least mod 9.
-    ca, cb = _mul((ra, rb), (_SHIFT_A[v][:, None], _SHIFT_B[v][:, None]))
-    ca, cb = ca // _POW3[v][:, None] % 9, cb // _POW3[v][:, None] % 9
+    # Every coordinate divided by pi^v, mod 9: known mod 3^(K - v) >= 9.
+    ca, cb = (_reduce(x) // 3 ** (K - 2) for x in _prod(r, (_SHIFT_A[v], _SHIFT_B[v])))
+    c = 9 * ca + cb
     # The pivot is the first coordinate of valuation vmin, a unit after the
-    # division; multiply by its inverse and read three digits.
-    pivot = np.argmax(vals == vmin[:, None], axis=1)
-    rows = np.arange(len(i))
-    digits, inv_a, inv_b = _residue_tables()
-    w = ca[rows, pivot] * 9 + cb[rows, pivot]
-    da, db = _mul((ca, cb), (inv_a[w][:, None], inv_b[w][:, None]), 9)
-    codes = digits[da * 9 + db] @ (27 ** np.arange(4, dtype=np.int64))
+    # division; read three digits of each coordinate over it.
+    pivot = np.argmax(vals == vmin, axis=0)
+    w = c[pivot, np.arange(len(i))]
+    codes = (_quotient_digits()[c, w] * _CODE_WEIGHTS).sum(axis=0)
     return np.where(ok, codes + 27**4 * pivot, -1)

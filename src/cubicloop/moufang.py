@@ -121,6 +121,11 @@ def _seeds(seed_pair: tuple[int, int], attempt: int) -> tuple[int, int]:
     return s0 + attempt, s1 + 1000003 * (attempt + 1)
 
 
+# Attempt a of seed_pair + _NEXT_ATTEMPT draws the lifts of attempt a + 1
+# of seed_pair: _seeds(seed_pair, a + 1) - _seeds(seed_pair, a).
+_NEXT_ATTEMPT = (1, 1000003)
+
+
 def compose_classes(
     i: int,
     j: int,
@@ -170,10 +175,13 @@ def compose_cells(
     went to `compose_classes`.
 
     The kernel lifts the points and composes every cell.  As
-    `compose_classes` does on PrecisionExhausted, the cells it refuses are
-    retried at doubled precision with the same seeds, while the kernel can
-    certify lifts there; the cells still refused go to `compose_classes` at
-    the last precision tried."""
+    `compose_classes` does on PointsCoincide, a refused cell whose two random
+    lifts drew the same digits, and so coincide, is retried with the next
+    attempt's seeds at the same precision.  As it does on
+    PrecisionExhausted, the other refused cells are retried at doubled
+    precision with the same seeds, while the kernel can certify lifts there;
+    the cells still refused go to `compose_classes` at the last precision
+    tried."""
     i, j = np.asarray(i), np.asarray(j)
     if seed_pairs is None:
         # indexed by class id; the kernel works at min(n, 2K) anyway
@@ -189,14 +197,22 @@ def compose_cells(
     codes = np.where(lifted[p] & lifted[q], kernel.chord_codes(pairs, p, q, n), -1)
     cells = classes_of_codes(codes)  # masked first: a refused lift's code is no class's
     todo = np.flatnonzero(cells < 0)
+    exact = 0
+    if seed_pairs is not None:
+        (a, b), pt, qt = pairs, p[todo], q[todo]
+        same = lifted[pt] & (a[pt] == a[qt]).all(axis=1) & (b[pt] == b[qt]).all(axis=1)
+        redraw, todo = todo[same], todo[~same]
+        if len(redraw):
+            rest = seed_pairs[redraw] + _NEXT_ATTEMPT
+            cells[redraw], exact = compose_cells(i[redraw], j[redraw], n, rest)
     if len(todo) and 2 * n <= kernel.MAX_LIFT_PRECISION:
         rest = None if seed_pairs is None else seed_pairs[todo]
-        cells[todo], exact = compose_cells(i[todo], j[todo], 2 * n, rest)
-        return cells, exact
+        cells[todo], exact_todo = compose_cells(i[todo], j[todo], 2 * n, rest)
+        return cells, exact + exact_todo
     for k in todo.tolist():
         pair = None if seed_pairs is None else tuple(seed_pairs[k].tolist())
         cells[k] = compose_classes(int(i[k]), int(j[k]), n, pair)
-    return cells, len(todo)
+    return cells, exact + len(todo)
 
 
 def build_class_table(
