@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -12,7 +12,6 @@ from . import kernel
 from .eisenstein import PrecisionExhausted
 from .surface import (
     DEFAULT_PRECISION,
-    MAX_PRECISION,
     CanonicalForm,
     LambdaParams,
     PointsCoincide,
@@ -124,47 +123,62 @@ def _seeds(seed_pair: tuple[int, int], attempt: int) -> tuple[int, int]:
 # Attempt a of seed_pair + _NEXT_ATTEMPT draws the lifts of attempt a + 1
 # of seed_pair: _seeds(seed_pair, a + 1) - _seeds(seed_pair, a).
 _NEXT_ATTEMPT = (1, 1000003)
+_REDRAWS = 16
+MAX_PRECISION = 48
+
+
+def next_precision(work: int) -> int:
+    """The rung above `work` on the one precision ladder: the double,
+    stopping first at kernel.MAX_LIFT_PRECISION (38), the kernel's last, then
+    at MAX_PRECISION (48), the top rung.  Every composition climbs it by one
+    rule: two random lifts with identical digits are redrawn at the same
+    rung with the next attempt's seeds, 16 (_REDRAWS) times at most; any
+    other refusal (PrecisionExhausted, PointsCoincide) moves up a rung with
+    the same seeds; at the top rung it is raised.  By admissibility the rung
+    never changes a class, only the work done."""
+    for rung in (kernel.MAX_LIFT_PRECISION, MAX_PRECISION):
+        if work < rung:
+            return min(2 * work, rung)
+    return work
+
+
+def _climb(lifts, judge, n: int):
+    """`judge(chord(p, q)[0], q)` for p, q = `lifts(work, k)`, the k-th draw
+    at precision `work`, under the rule of `next_precision` from n."""
+    work, k = n, 0
+    while True:
+        try:
+            p, q = lifts(work, k)
+            if p != q or k == _REDRAWS:
+                return judge(chord(p, q)[0], q)
+            k += 1  # two random lifts drew the same digits: redraw at this rung
+        except (PrecisionExhausted, PointsCoincide):
+            # The points agree to the working precision.  Fixed
+            # representatives of distinct classes, and any two distinct
+            # points of one class at low precision, only separate at a
+            # higher one.
+            if next_precision(work) == work:
+                raise
+            work = next_precision(work)
 
 
 def compose_classes(
-    i: int,
-    j: int,
-    n: int = DEFAULT_PRECISION,
-    seed_pair: tuple[int, int] | None = None,
+    i: int, j: int, n: int = DEFAULT_PRECISION, seed_pair: tuple[int, int] | None = None
 ) -> int:
-    """Class of the chord through representatives of classes i and j.
-
-    Equal classes (or an explicit seed pair) use two random lifts; retries
-    at doubled precision, bounded by MAX_PRECISION, on precision exhaustion
-    or coincident points (which also redraw the random lifts)."""
+    """Class of the chord through representatives of classes i and j,
+    composed at the rungs of `next_precision` from n.  Equal classes (or an
+    explicit seed pair) use two random lifts."""
     params = class_params()
     if seed_pair is None and i == j:
         seed_pair = (0, 1)
-    work = n
-    bump = 0
-    while True:
-        try:
-            if seed_pair is not None:
-                s0, s1 = _seeds(seed_pair, bump)
-                p, q = random_lift(params[i], work, s0), random_lift(params[j], work, s1)
-            else:
-                p = lift_representative(params[i], work)
-                q = lift_representative(params[j], work)
-            r, _trace = chord(p, q)
-            return class_of_form(normalize(r, 3, margin=3))
-        except PointsCoincide:
-            # The points agree to the working precision.  Fixed
-            # representatives of distinct classes, and any two points of one
-            # class at low precision, only separate at a higher one; two
-            # random lifts that drew the same digits need a redraw.
-            bump += 1
-            if bump > 16:
-                raise
-            work = min(2 * work, MAX_PRECISION)
-        except PrecisionExhausted:
-            if work >= MAX_PRECISION:
-                raise
-            work = min(2 * work, MAX_PRECISION)
+
+    def lifts(work: int, k: int) -> tuple[ProjPoint, ProjPoint]:
+        if seed_pair is None:
+            return lift_representative(params[i], work), lift_representative(params[j], work)
+        s0, s1 = _seeds(seed_pair, k)
+        return random_lift(params[i], work, s0), random_lift(params[j], work, s1)
+
+    return _climb(lifts, lambda r, _: class_of_form(normalize(r, 3, margin=3)), n)
 
 
 def compose_cells(
@@ -174,45 +188,43 @@ def compose_cells(
     (fixed representatives when `seed_pairs` is None), and how many cells
     went to `compose_classes`.
 
-    The kernel lifts the points and composes every cell.  As
-    `compose_classes` does on PointsCoincide, a refused cell whose two random
-    lifts drew the same digits, and so coincide, is retried with the next
-    attempt's seeds at the same precision.  As it does on
-    PrecisionExhausted, the other refused cells are retried at doubled
-    precision with the same seeds, while the kernel can certify lifts there;
-    the cells still refused go to `compose_classes` at the last precision
-    tried."""
+    The kernel climbs the rungs of `next_precision` from n while it can lift
+    there (fixed representatives at min(n, kernel.MAX_LIFT_PRECISION)); the
+    cells it still refuses go to `compose_classes` at the first rung it did
+    not try, with their current seeds."""
     i, j = np.asarray(i), np.asarray(j)
-    if seed_pairs is None:
-        # indexed by class id; the kernel works at min(n, 2K) anyway
-        lift_n = min(n, kernel.MAX_LIFT_PRECISION)
-        pairs, lifted = kernel.lift_pairs(np.arange(N_CLASSES), None, lift_n)
-        p, q = i, j
-    else:
-        s0, s1 = _seeds(seed_pairs.T, 0)
-        pairs, lifted = kernel.lift_pairs(
-            np.concatenate([i, j]), np.concatenate([s0, s1]), n
-        )
-        p, q = np.arange(len(i)), np.arange(len(i), 2 * len(i))
-    codes = np.where(lifted[p] & lifted[q], kernel.chord_codes(pairs, p, q, n), -1)
-    cells = classes_of_codes(codes)  # masked first: a refused lift's code is no class's
-    todo = np.flatnonzero(cells < 0)
-    exact = 0
-    if seed_pairs is not None:
-        (a, b), pt, qt = pairs, p[todo], q[todo]
-        same = lifted[pt] & (a[pt] == a[qt]).all(axis=1) & (b[pt] == b[qt]).all(axis=1)
-        redraw, todo = todo[same], todo[~same]
-        if len(redraw):
-            rest = seed_pairs[redraw] + _NEXT_ATTEMPT
-            cells[redraw], exact = compose_cells(i[redraw], j[redraw], n, rest)
-    if len(todo) and 2 * n <= kernel.MAX_LIFT_PRECISION:
-        rest = None if seed_pairs is None else seed_pairs[todo]
-        cells[todo], exact_todo = compose_cells(i[todo], j[todo], 2 * n, rest)
-        return cells, exact + exact_todo
+    seeds = None if seed_pairs is None else np.array(seed_pairs)
+    # fixed representatives: all cells, as a slice that copies no index array
+    todo = np.s_[:] if seeds is None else np.arange(len(i))
+    cells, redraws = np.full(len(i), -1), np.zeros(len(i), np.int8)
+    lifts = seeds is None or n <= kernel.MAX_LIFT_PRECISION
+    while lifts:
+        if seeds is None:  # lifts indexed by class id
+            classes, draws, p, q = np.arange(N_CLASSES), None, i[todo], j[todo]
+        else:
+            classes = np.concatenate([i[todo], j[todo]])
+            draws = np.concatenate(_seeds(seeds[todo].T, 0))
+            p, q = np.arange(len(classes)).reshape(2, -1)
+        pairs, lifted = kernel.lift_pairs(classes, draws, min(n, kernel.MAX_LIFT_PRECISION))
+        codes = np.where(lifted[p] & lifted[q], kernel.chord_codes(pairs, p, q, n), -1)
+        cells[todo] = classes_of_codes(codes)  # masked first: a refused lift's code is no class's
+        if seeds is not None:
+            r = np.flatnonzero(codes < 0)
+            (a, b), pr, qr, t = pairs, p[r], q[r], todo[r]
+            same = (a[pr] == a[qr]).all(axis=1) & (b[pr] == b[qr]).all(axis=1)
+            if len(redraw := t[same & (redraws[t] < _REDRAWS)]):
+                # only these go again at n; the other refused cells wait at -1
+                todo = redraw
+                redraws[todo] += 1
+                seeds[todo] += _NEXT_ATTEMPT
+                continue
+        todo = np.flatnonzero(cells < 0)
+        n = next_precision(n)
+        lifts = len(todo) and n <= kernel.MAX_LIFT_PRECISION
     for k in todo.tolist():
-        pair = None if seed_pairs is None else tuple(seed_pairs[k].tolist())
+        pair = None if seeds is None else tuple(seeds[k].tolist())
         cells[k] = compose_classes(int(i[k]), int(j[k]), n, pair)
-    return cells, exact + len(todo)
+    return cells, len(todo)
 
 
 def build_class_table(
@@ -221,7 +233,7 @@ def build_class_table(
     """Build the full o-table and spot-check admissibility.
 
     The cells of distinct classes are composed on fixed representatives at
-    n, the diagonal on two random lifts at doubled precision, where two
+    n, the diagonal on two random lifts at next_precision(n), where two
     lifts of one class separate (at n = 12 every diagonal cell fails at n).
     For `admissibility_cells` random cells, LIFT_SAMPLES extra random
     representative pairs are composed and must land in the same class."""
@@ -229,7 +241,7 @@ def build_class_table(
     cells, exact = compose_cells(iu, ju, n)
     ids = np.arange(N_CLASSES)
     seed_pairs = np.tile((2 * seed, 2 * seed + 1), (N_CLASSES, 1))
-    diag, exact_diag = compose_cells(ids, ids, min(2 * n, MAX_PRECISION), seed_pairs)
+    diag, exact_diag = compose_cells(ids, ids, next_precision(n), seed_pairs)
     circ = np.empty((N_CLASSES, N_CLASSES), dtype=np.int16)
     circ[iu, ju] = cells
     circ[ju, iu] = cells
@@ -434,33 +446,25 @@ def ch_check(t: ClassTable, samples: int = 200, seed: int = 0) -> CheckReport:
 
 
 def eckhardt_check(samples: int, seed: int, n: int = DEFAULT_PRECISION) -> CheckReport:
-    """For each family's unit class U0, U1, U2 (lifted at n), the chord
-    through it and a random lift of another class equals that lift with two
-    coordinates swapped, mod pi^3; `samples` random lifts per family.  As in
-    `compose_classes`, a sample that exhausts the precision is retried at
-    doubled precision with the same class and seed.  The counterexample is
+    """For each family's unit class U0, U1, U2, the chord through its fixed
+    representative and a random lift of another class equals that lift with
+    two coordinates swapped, mod pi^3; `samples` random lifts per family,
+    composed at the rungs of `next_precision` from n.  The counterexample is
     (family, class, lift seed)."""
     params = class_params()
     checks = 0
     for unit_lp, perm in ((U0, (1, 0, 2, 3)), (U1, (2, 1, 0, 3)), (U2, (0, 2, 1, 3))):
-        unit, u = named_class(unit_lp), lift_representative(unit_lp, n)
+        unit, lift_unit = named_class(unit_lp), lru_cache(partial(lift_representative, unit_lp))
+
+        def swaps(r: ProjPoint, pt: ProjPoint) -> bool:
+            swapped = ProjPoint(tuple(pt.coords[k] for k in perm), pt.prec)
+            return normalize(r, 3) == normalize(swapped, 3)
+
         k = np.arange(samples)
         # every class but the unit, as an offset from it
         classes = (unit + 1 + _draw(N_CLASSES - 1, 3, seed, unit, k, 0)) % N_CLASSES
         for c, s in zip(classes.tolist(), _draw(1 << 30, 3, seed, unit, k, 1).tolist()):
-            work, u_work = n, u
-            while True:
-                try:
-                    pt = random_lift(params[c], work, s)
-                    swapped = ProjPoint(tuple(pt.coords[k] for k in perm), pt.prec)
-                    swaps = normalize(chord(u_work, pt)[0], 3) == normalize(swapped, 3)
-                    break
-                except PrecisionExhausted:
-                    if work >= MAX_PRECISION:
-                        raise
-                    work = min(2 * work, MAX_PRECISION)
-                    u_work = lift_representative(unit_lp, work)
-            if not swaps:
+            if not _climb(lambda w, _: (lift_unit(w), random_lift(params[c], w, s)), swaps, n):
                 return CheckReport("eckhardt swaps", False, checks, (unit_lp.family, c, s))
             checks += 1
     return CheckReport("eckhardt swaps", True, checks)

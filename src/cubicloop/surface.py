@@ -30,7 +30,6 @@ from .eisenstein import (
 )
 
 DEFAULT_PRECISION = 12
-MAX_PRECISION = 48
 
 FORM_COEFFS = (ONE, ONE, ONE, THETA)
 
@@ -246,6 +245,7 @@ def residue_tuple(lp: LambdaParams) -> tuple[RingElt, RingElt, RingElt, RingElt]
 
 
 HENSEL_INDEX = {"P": 1, "Q": 2, "R": 2}
+FREE_INDICES = {"P": (2, 3), "Q": (1, 3), "R": (0, 3)}
 HENSEL_CRITERION = 5  # nu(F) > 2*nu(3x^2) at the class tuple: Hensel's lemma
 
 
@@ -255,9 +255,16 @@ def canonical_form(lp: LambdaParams) -> CanonicalForm:
     return CanonicalForm(tuple(to_digits(c, 3) for c in coords), pivot)
 
 
-def _solve_hensel_coordinate(coords: list[RingElt], idx: int, n: int) -> RingElt:
-    """Newton's method x <- x - F/(3x^2) on x = coords[idx] (form coefficient
-    1) until nu(F) >= n; the root is unique mod pi^(n - 2)."""
+def _lift(lp: LambdaParams, n: int, digits) -> ProjPoint:
+    """The point on V in the class of lp whose free coordinates carry
+    `digits` (as `lift_digits` draws them) at levels pi^3 and pi^4.  Newton's
+    method x <- x - F/(3x^2) runs on the Hensel coordinate x (form
+    coefficient 1) until nu(F) >= n; the root is unique mod pi^(n - 2)."""
+    coords = list(residue_tuple(lp))
+    for k, i in enumerate(FREE_INDICES[lp.family]):
+        a3, b3, a4, b4 = digits[4 * k : 4 * k + 4]
+        coords[i] = coords[i] + RingElt(a3, b3) * PI3 + RingElt(a4, b4) * PI3 * PI
+    idx = HENSEL_INDEX[lp.family]
     x = coords[idx]
     f = eval_form(ProjPoint(tuple(coords)))
     rest, v = f - x**3, nu(f)
@@ -269,17 +276,12 @@ def _solve_hensel_coordinate(coords: list[RingElt], idx: int, n: int) -> RingElt
         if nu(f) <= v:
             raise PrecisionExhausted(f"a Newton step left nu(F) at {nu(f)}")
         v = nu(f)
-    return x
-
-
-def lift_representative(lp: LambdaParams, n: int = DEFAULT_PRECISION) -> ProjPoint:
-    coords = list(residue_tuple(lp))
-    idx = HENSEL_INDEX[lp.family]
-    coords[idx] = _solve_hensel_coordinate(coords, idx, n)
+    coords[idx] = x
     return ProjPoint(tuple(coords), n)
 
 
-FREE_INDICES = {"P": (2, 3), "Q": (1, 3), "R": (0, 3)}
+def lift_representative(lp: LambdaParams, n: int = DEFAULT_PRECISION) -> ProjPoint:
+    return _lift(lp, n, [0] * 8)
 
 
 def _draw(bound: int, *keys) -> np.ndarray:
@@ -309,14 +311,7 @@ def lift_digits(classes, n: int, seeds) -> np.ndarray:
 def random_lift(lp: LambdaParams, n: int, seed: int) -> ProjPoint:
     """A point on V in the class of lp whose free coordinates carry
     seed-dependent digits at levels pi^3 and pi^4."""
-    digits = lift_digits([_CLASS_IDS[lp]], n, [seed])[0].tolist()
-    coords = list(residue_tuple(lp))
-    for k, i in enumerate(FREE_INDICES[lp.family]):
-        a3, b3, a4, b4 = digits[4 * k : 4 * k + 4]
-        coords[i] = coords[i] + RingElt(a3, b3) * PI3 + RingElt(a4, b4) * PI3 * PI
-    idx = HENSEL_INDEX[lp.family]
-    coords[idx] = _solve_hensel_coordinate(coords, idx, n)
-    return ProjPoint(tuple(coords), n)
+    return _lift(lp, n, lift_digits([_CLASS_IDS[lp]], n, [seed])[0].tolist())
 
 
 @lru_cache(maxsize=1)

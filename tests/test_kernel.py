@@ -198,8 +198,8 @@ def test_refused_lift_comes_back_from_the_exact_path(table, monkeypatch):
     monkeypatch.setattr(kernel, "lift_pairs", refuse_some)
     monkeypatch.setattr(M, "compose_classes", counted)
     assert M.check_admissibility(table, 10, 7, 3) == (70, 0)
-    # refused at 12 and again at 24, the last precision the kernel lifts at
-    want = [(i, j, 24, pair) for i, j, _, pair in draws if {i, j} & refused]
+    # refused at 12, 24 and 38, the kernel's rungs; handed off at the next, 48
+    want = [(i, j, 48, pair) for i, j, _, pair in draws if {i, j} & refused]
     assert 14 <= len(want) < 70
     assert calls == want
 
@@ -332,20 +332,46 @@ def test_refused_cell_comes_back_from_the_exact_path(table, monkeypatch):
     monkeypatch.setattr(kernel, "chord_codes", refuse_one)
     monkeypatch.setattr(M, "compose_classes", counted)
     t = M.build_class_table(12, admissibility_cells=0)
-    # refused at 12 and again at 24, the last precision the kernel lifts at
-    assert calls == [(22, 94, 24, None)]
+    # refused at 12, 24 and 38, the kernel's rungs; handed off at the next, 48
+    assert calls == [(22, 94, 48, None)]
     assert t.exact_cells == 1
     assert np.array_equal(t.circ, table.circ)
 
 
-# Cells the kernel refuses at n are retried at 2n, the diagonal's at 4n.
+# Cells the kernel refuses at n climb the rungs of next_precision while the
+# kernel can lift there; the diagonal starts one rung up.
 @pytest.mark.parametrize(
-    "n, exact_cells", [(6, 0), (7, 0), (8, 0), (9, 0), (10, 0), (11, 0)]
+    "n, exact_cells",
+    [(6, 0), (7, 0), (8, 0), (9, 0), (10, 0), (11, 0), (20, 0), (37, 0)],
 )
 def test_low_precision_builds_equal_the_default_table(table, n, exact_cells):
     t = M.build_class_table(n, admissibility_cells=0)
     assert np.array_equal(t.circ, table.circ)
     assert t.exact_cells == exact_cells
+
+
+@pytest.mark.parametrize("seed", [1, 26])
+def test_near_tangent_diagonal_cells_at_10_stay_in_the_kernel(table, seed):
+    # lifted at 20, one or two diagonal cells are refused; they climb to 38
+    t = M.build_class_table(10, seed=seed, admissibility_cells=0)
+    assert t.exact_cells == 0
+    assert np.array_equal(t.circ, table.circ)
+
+
+def test_fixed_representatives_above_38_stay_in_the_kernel(table, monkeypatch):
+    # the kernel lifts fixed representatives at 38 for n = 39; only the
+    # diagonal, at next_precision(39) = 48, is beyond its lifts
+    calls = []
+
+    def from_table(i, j, n, seed_pair):
+        calls.append((i, j, n))
+        return int(table.circ[i, j])
+
+    monkeypatch.setattr(M, "compose_classes", from_table)
+    t = M.build_class_table(39, admissibility_cells=0)
+    assert calls == [(c, c, 48) for c in range(M.N_CLASSES)]
+    assert t.exact_cells == M.N_CLASSES
+    assert np.array_equal(t.circ, table.circ)
 
 
 def test_low_precision_build_lifts_each_representative_once(table, monkeypatch):

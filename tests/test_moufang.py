@@ -61,6 +61,47 @@ class TestTable:
         # threshold pi^3; only a higher precision separates them
         assert M.compose_classes(5, 5, 6, seed_pair=(0, 1)) == 5
 
+    def test_next_precision_never_lowers_and_stops_at_48(self):
+        for n in range(6, 201):
+            assert n <= M.next_precision(n) <= max(n, 48)
+        ladder = [6]
+        while M.next_precision(ladder[-1]) != ladder[-1]:
+            ladder.append(M.next_precision(ladder[-1]))
+        # the kernel lifts at 12, 24 and 38, its last rung
+        assert ladder == [6, 12, 24, 38, 48]
+
+    def test_points_coincide_at_the_top_rung_is_raised(self, monkeypatch):
+        lifts = []
+        lift_representative = M.lift_representative
+
+        def counted(lp, n):
+            lifts.append(n)
+            return lift_representative(lp, n)
+
+        def coincide(p, q):
+            raise M.PointsCoincide("forced")
+
+        monkeypatch.setattr(M, "lift_representative", counted)
+        monkeypatch.setattr(M, "chord", coincide)
+        with pytest.raises(M.PointsCoincide):
+            M.compose_classes(3, 7, 60)
+        # 60 is above 48, so it is the top rung: no retry, and none lower
+        assert lifts == [60, 60]
+
+    def test_identical_lifts_redraw_at_the_same_rung(self, monkeypatch):
+        draws = []
+        random_lift = M.random_lift
+        first = M._seeds((0, 1), 0)
+
+        def same_first(lp, n, seed):
+            draws.append((n, seed))
+            # the first attempt's two lifts are made identical
+            return random_lift(lp, n, first[0] if seed in first else seed)
+
+        monkeypatch.setattr(M, "random_lift", same_first)
+        assert M.compose_classes(5, 5, 24, (0, 1)) == 5
+        assert draws == [(24, s) for s in (*first, *M._seeds((0, 1), 1))]
+
     def test_diagonal_lifts_once_at_doubled_precision(self, table, monkeypatch):
         # one batch of two lifts per diagonal cell at n = 24; at seed 139 the
         # two lifts of cells 102 and 188 drew the same digits, and only they
