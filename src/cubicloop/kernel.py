@@ -187,7 +187,7 @@ def to_pairs(points: Sequence[ProjPoint]) -> tuple[np.ndarray, np.ndarray]:
 
 # The lift guard reads nu(F) on the residues, which fix F mod pi^(2K): below
 # 2K exactly, and as "at least 2K" from a pair of zeros.  So it certifies
-# nu(F) >= n for n up to 2K and no further.
+# nu(F) >= min(n, 2K).
 MAX_LIFT_PRECISION = 2 * K
 # The class's own tuple has nu(F) >= HENSEL_CRITERION = 5, and a Newton
 # step takes nu(F) = v to at least min(2v - 2, 2K): 5, 8, 14, 26, 50.  Four
@@ -214,17 +214,16 @@ def lift_pairs(
     seed)` for each class and seed, or of `lift_representative(lp, n)` when
     `seeds` is None; and the mask of the lifts the residues certify.
 
-    The free coordinates are the exact path's, from the same digits.  The
-    Hensel coordinate x agrees with the exact path's mod pi^(n - 2), where
-    the root is unique.  A lift is refused when n > MAX_LIFT_PRECISION, when
-    the class tuple fails the Hensel criterion, or when Newton's method
-    leaves nu(F) < n."""
+    The free coordinates are the exact path's, from the same digits.  With
+    t = min(n, MAX_LIFT_PRECISION), the Hensel coordinate x agrees with the
+    exact path's mod pi^(t - 2), where the root is unique.  A lift is refused
+    when the class tuple fails the Hensel criterion, or when Newton's method
+    leaves nu(F) < t."""
     base_a, base_b, hensel, free, (pi3, pi4) = _class_data()
     classes = np.asarray(classes, dtype=np.int64)
     m = len(classes)
     a, b = base_a[classes], base_b[classes]
-    if n > MAX_LIFT_PRECISION:
-        return (a, b), np.zeros(m, dtype=bool)
+    t = min(n, MAX_LIFT_PRECISION)
     rows = np.arange(m)
     if seeds is not None:
         digits = lift_digits(classes, n, seeds).reshape(m, 2, 4)
@@ -247,13 +246,13 @@ def lift_pairs(
         v = _nu(f)
         if step == 0:
             criterion = v >= HENSEL_CRITERION
-        if step == _NEWTON_STEPS or np.all(v >= n):
+        if step == _NEWTON_STEPS or np.all(v >= t):
             break
         # x <- x - F / (3 x^2); nu(F) >= 2 makes F / 3 exact, known mod 3^(K-1).
         dx = _mul((f[0] // 3, f[1] // 3), _unit_inverse(x2))
         x = _reduce(x[0] - dx[0]), _reduce(x[1] - dx[1])
     a[rows, h], b[rows, h] = x
-    return (a, b), criterion & (v >= n)
+    return (a, b), criterion & (v >= t)
 
 
 def chord_codes(

@@ -188,24 +188,22 @@ def compose_cells(
     (fixed representatives when `seed_pairs` is None), and how many cells
     went to `compose_classes`.
 
-    The kernel climbs the rungs of `next_precision` from n while it can lift
-    there (fixed representatives at min(n, kernel.MAX_LIFT_PRECISION)); the
-    cells it still refuses go to `compose_classes` at the first rung it did
-    not try, with their current seeds."""
+    The kernel composes at n and climbs the rungs of `next_precision` up to
+    kernel.MAX_LIFT_PRECISION; the cells it still refuses go to
+    `compose_classes` one rung up, with their current seeds."""
     i, j = np.asarray(i), np.asarray(j)
     seeds = None if seed_pairs is None else np.array(seed_pairs)
     # fixed representatives: all cells, as a slice that copies no index array
     todo = np.s_[:] if seeds is None else np.arange(len(i))
     cells, redraws = np.full(len(i), -1), np.zeros(len(i), np.int8)
-    lifts = seeds is None or n <= kernel.MAX_LIFT_PRECISION
-    while lifts:
+    while True:
         if seeds is None:  # lifts indexed by class id
             classes, draws, p, q = np.arange(N_CLASSES), None, i[todo], j[todo]
         else:
             classes = np.concatenate([i[todo], j[todo]])
             draws = np.concatenate(_seeds(seeds[todo].T, 0))
             p, q = np.arange(len(classes)).reshape(2, -1)
-        pairs, lifted = kernel.lift_pairs(classes, draws, min(n, kernel.MAX_LIFT_PRECISION))
+        pairs, lifted = kernel.lift_pairs(classes, draws, n)
         codes = np.where(lifted[p] & lifted[q], kernel.chord_codes(pairs, p, q, n), -1)
         cells[todo] = classes_of_codes(codes)  # masked first: a refused lift's code is no class's
         if seeds is not None:
@@ -216,11 +214,14 @@ def compose_cells(
                 # only these go again at n; the other refused cells wait at -1
                 todo = redraw
                 redraws[todo] += 1
-                seeds[todo] += _NEXT_ATTEMPT
+                # in the seeds' dtype, which an int64 step turns to float64 if
+                # uint64; a sum that wraps is the same `_draw` key mod 2^64
+                seeds[todo] += np.array(_NEXT_ATTEMPT, seeds.dtype)
                 continue
         todo = np.flatnonzero(cells < 0)
         n = next_precision(n)
-        lifts = len(todo) and n <= kernel.MAX_LIFT_PRECISION
+        if not len(todo) or n > kernel.MAX_LIFT_PRECISION:
+            break
     for k in todo.tolist():
         pair = None if seeds is None else tuple(seeds[k].tolist())
         cells[k] = compose_classes(int(i[k]), int(j[k]), n, pair)
@@ -234,9 +235,9 @@ def build_class_table(
 
     The cells of distinct classes are composed on fixed representatives at
     n, the diagonal on two random lifts at next_precision(n), where two
-    lifts of one class separate (at n = 12 every diagonal cell fails at n).
-    For `admissibility_cells` random cells, LIFT_SAMPLES extra random
-    representative pairs are composed and must land in the same class."""
+    lifts of one class separate.  For `admissibility_cells` random cells,
+    LIFT_SAMPLES extra random representative pairs are composed and must
+    land in the same class."""
     iu, ju = np.triu_indices(N_CLASSES, k=1)
     cells, exact = compose_cells(iu, ju, n)
     ids = np.arange(N_CLASSES)

@@ -47,8 +47,9 @@ def kernel_classes(points, i, j, prec):
 
 def check_lifts(classes, seeds, n):
     """The batched lifts certify every point, carry the exact path's free
-    coordinates, agree with its Hensel coordinate mod pi^(n - 2), where the
-    root is unique, and have nu(F) >= n on the exact path."""
+    coordinates, and, with t = min(n, 2K), agree with its Hensel coordinate
+    mod pi^(t - 2), where the root is unique, and have nu(F) >= t on the
+    exact path."""
     pairs, ok = kernel.lift_pairs(classes, seeds, n)
     assert ok.all()
     params = M.class_params()
@@ -57,15 +58,16 @@ def check_lifts(classes, seeds, n):
     else:
         exact = [random_lift(params[c], n, s) for c, s in zip(classes, seeds)]
     want = kernel.to_pairs(exact)
+    t = min(n, kernel.MAX_LIFT_PRECISION)
     for k, (c, p, e) in enumerate(zip(classes, to_points(pairs, n), exact)):
         h = HENSEL_INDEX[params[c].family]
         for x in (0, 1):
             assert np.delete(pairs[x][k], h).tolist() == np.delete(want[x][k], h).tolist()
-        assert nu(p.coords[h] - e.coords[h]) >= n - 2
-        assert nu(eval_form(p)) >= n
+        assert nu(p.coords[h] - e.coords[h]) >= t - 2
+        assert nu(eval_form(p)) >= t
 
 
-@pytest.mark.parametrize("n", [6, 7, 12, 24, 38])
+@pytest.mark.parametrize("n", [6, 7, 12, 24, 38, 48])
 def test_lifts_match_the_exact_path(n):
     classes = list(range(M.N_CLASSES))
     check_lifts(classes, None, n)
@@ -78,30 +80,49 @@ def test_lifts_match_the_exact_path(n):
     st.lists(st.integers(0, M.N_CLASSES - 1), min_size=1, max_size=8),
     # any Python int seed, as `--seed` takes: negative, or 2^64 and above
     st.integers(-(1 << 70), 1 << 70),
-    st.integers(6, kernel.MAX_LIFT_PRECISION),
+    st.integers(6, 60),
 )
 def test_random_lifts_match_the_exact_path(classes, seed, n):
     check_lifts(classes, [seed + k for k in range(len(classes))], n)
 
 
-def test_lifts_above_the_bound_are_refused():
+def test_lifts_above_the_bound_are_certified_to_it():
+    # Newton runs to min(n, 2K); a fixed representative has no digits to draw
     n = kernel.MAX_LIFT_PRECISION
-    assert kernel.lift_pairs([0, 100, 200], None, n)[1].all()
-    assert not kernel.lift_pairs([0, 100, 200], None, n + 1)[1].any()
-    assert not kernel.lift_pairs([0, 100, 200], [1, 2, 3], n + 1)[1].any()
+    top, _ = kernel.lift_pairs([0, 100, 200], None, n)
+    for above in (n + 1, 60):
+        pairs, lifted = kernel.lift_pairs([0, 100, 200], None, above)
+        assert lifted.all()
+        assert all(np.array_equal(x, y) for x, y in zip(pairs, top))
+        assert kernel.lift_pairs([0, 100, 200], [1, 2, 3], above)[1].all()
 
 
-def test_samples_above_the_lift_bound_are_exact(table):
-    # every lift is refused there, so every sample goes to the exact path,
-    # even where the unlifted class tuples chord to a code of no class
+def test_samples_above_the_lift_bound_stay_in_the_kernel(table, monkeypatch):
     n = kernel.MAX_LIFT_PRECISION + 1
+    compose_classes = M.compose_classes
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compose_classes(*args)
+
+    monkeypatch.setattr(M, "compose_classes", counted)
+    assert M.check_admissibility(M.ClassTable(table.circ, n, 0), 50, 20, 0) == (1000, 0)
+    assert calls == []
+    # A tuple of class 1 off the surface (nu(F) = 0) fails the Hensel
+    # criterion: its lift is refused, and chords to a code of no class, so
+    # the sample goes to the exact path only if the code is masked first.
+    a, b, hensel, free, bumps = kernel._class_data()
+    a = a.copy()
+    a[1, hensel[1]] += 1
+    monkeypatch.setattr(kernel, "_class_data", lambda: (a, b, hensel, free, bumps))
     pairs, lifted = kernel.lift_pairs([1, 3], [0, 1], n)
-    assert not lifted.any()
+    assert lifted.tolist() == [False, True]
     with pytest.raises(KeyError):
         M.classes_of_codes(kernel.chord_codes(pairs, [0], [1], n))
     cells, exact = M.compose_cells(np.array([1]), np.array([3]), n, np.array([[0, 1]]))
     assert (cells.tolist(), exact) == ([table.circ[1, 3]], 1)
-    assert M.check_admissibility(M.ClassTable(table.circ, n, 0), 3, 2, 0) == (6, 0)
+    assert calls == [(1, 3, 48, (0, 1))]
 
 
 def test_tuple_failing_the_hensel_criterion_is_refused(monkeypatch):
@@ -251,22 +272,24 @@ def test_every_off_diagonal_cell_matches_the_exact_path(reps12):
     st.integers(0, M.N_CLASSES - 1),
     st.integers(0, (1 << 30) - 1),
     st.integers(0, (1 << 30) - 1),
+    st.sampled_from([12, 39, 60]),
 )
-def test_random_lifts_match_compose_classes(i, j, s0, s1):
+def test_random_lifts_match_compose_classes(i, j, s0, s1, n):
     params = M.class_params()
-    p, q = random_lift(params[i], 12, s0), random_lift(params[j], 12, s1)
-    got = kernel_classes([p, q], [0], [1], 12)[0]
+    p, q = random_lift(params[i], n, s0), random_lift(params[j], n, s1)
+    got = kernel_classes([p, q], [0], [1], n)[0]
     try:
         want = exact_class(p, q)
     except M.PointsCoincide:
         # two lifts of one class that drew the same digits
         want = None
-    # same-class pairs are near-tangent: the guard refuses what the exact path does
-    assert got == (-1 if want is None else want)
-    exact = M.compose_classes(i, j, 12, (s0, s1))
+    # same-class pairs are near-tangent: at 12 the guard refuses what the
+    # exact path does; above 2K it is the exact path's at 2K, and may refuse more
+    assert got == (-1 if want is None else want) or (n > kernel.MAX_LIFT_PRECISION and got == -1)
+    exact = M.compose_classes(i, j, n, (s0, s1))
     if i != j:
         assert got == exact
-    cells, _ = M.compose_cells([i], [j], 12, np.array([[s0, s1]]))
+    cells, _ = M.compose_cells([i], [j], n, np.array([[s0, s1]]))
     assert cells.tolist() == [exact]
 
 
@@ -338,11 +361,12 @@ def test_refused_cell_comes_back_from_the_exact_path(table, monkeypatch):
     assert np.array_equal(t.circ, table.circ)
 
 
-# Cells the kernel refuses at n climb the rungs of next_precision while the
-# kernel can lift there; the diagonal starts one rung up.
+# Cells the kernel refuses at n climb the rungs of next_precision up to 38;
+# the diagonal starts one rung up.
 @pytest.mark.parametrize(
     "n, exact_cells",
-    [(6, 0), (7, 0), (8, 0), (9, 0), (10, 0), (11, 0), (20, 0), (37, 0)],
+    [(6, 0), (7, 0), (8, 0), (9, 0), (10, 0), (11, 0), (20, 0), (37, 0), (38, 0), (39, 0),
+     (48, 0), (60, 0)],
 )
 def test_low_precision_builds_equal_the_default_table(table, n, exact_cells):
     t = M.build_class_table(n, admissibility_cells=0)
@@ -359,8 +383,8 @@ def test_near_tangent_diagonal_cells_at_10_stay_in_the_kernel(table, seed):
 
 
 def test_fixed_representatives_above_38_stay_in_the_kernel(table, monkeypatch):
-    # the kernel lifts fixed representatives at 38 for n = 39; only the
-    # diagonal, at next_precision(39) = 48, is beyond its lifts
+    # the kernel lifts fixed representatives for n = 39, and the diagonal's
+    # random lifts at next_precision(39) = 48, to 38
     calls = []
 
     def from_table(i, j, n, seed_pair):
@@ -369,8 +393,8 @@ def test_fixed_representatives_above_38_stay_in_the_kernel(table, monkeypatch):
 
     monkeypatch.setattr(M, "compose_classes", from_table)
     t = M.build_class_table(39, admissibility_cells=0)
-    assert calls == [(c, c, 48) for c in range(M.N_CLASSES)]
-    assert t.exact_cells == M.N_CLASSES
+    assert calls == []
+    assert t.exact_cells == 0
     assert np.array_equal(t.circ, table.circ)
 
 

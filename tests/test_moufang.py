@@ -130,7 +130,7 @@ class TestTable:
         assert t.exact_cells == 0
         assert np.array_equal(t.circ, table.circ)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64 + 5])
+    @pytest.mark.parametrize("seed", [-1, 2**62, 2**64 + 5])
     def test_any_int_seed_builds_the_table(self, table, seed):
         # seeds are reduced mod 2^64 before they key the draws
         t = M.build_class_table(12, seed=seed)
