@@ -130,29 +130,13 @@ _encode = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 _ID_TEXT = np.array([str(k) for k in range(moufang.N_CLASSES)], dtype=object)
 
 
-def _write_json(fh, doc: dict) -> None:
-    """Write the text of `json.dump(doc, fh, sort_keys=True, separators=(",",
-    ":"))`, arrays as nested lists.  `json.dump` runs the pure-Python
-    encoder; `json.dumps` runs the C one.  So each field is encoded with
-    `json.dumps`, a list field one item at a time, and written as it is made:
-    no string of the whole document is held.  An array field is a table of
-    class ids, written one row at a time from the ids' decimal text."""
-    fh.write("{")
-    for k, key in enumerate(sorted(doc)):
-        fh.write(("," if k else "") + _encode(key) + ":")
-        value = doc[key]
-        if isinstance(value, np.ndarray):
-            items = ("[" + ",".join(_ID_TEXT[row].tolist()) + "]" for row in value)
-        elif isinstance(value, list):
-            items = map(_encode, value)
-        else:
-            fh.write(_encode(value))
-            continue
-        fh.write("[")
-        for i, item in enumerate(items):
-            fh.write(("," if i else "") + item)
-        fh.write("]")
-    fh.write("}")
+def _write_ids(fh, table: np.ndarray) -> None:
+    """Write `table` as a JSON array of rows, one row at a time, each row
+    joined from the class ids' decimal text."""
+    fh.write("[")
+    for i, row in enumerate(table):
+        fh.write(("," if i else "") + "[" + ",".join(_ID_TEXT[row].tolist()) + "]")
+    fh.write("]")
 
 
 def export_table(t: ClassTable, l: LoopTable, cfg: Config) -> None:
@@ -174,17 +158,17 @@ def export_table(t: ClassTable, l: LoopTable, cfg: Config) -> None:
                     "rep": [list(d.digits) for d in form.coords],
                 }
             )
-        doc = {
-            "modulus": "p^3",
-            "precision": t.precision,
-            "unit": int(l.unit),
-            "classes": classes,
-            "circ": t.circ,
-            "mul": l.mul,
-        }
+        # The text that json.dump(..., sort_keys=True, separators=(",", ":"))
+        # gives the document, keys in that order.  json.dump runs the
+        # pure-Python encoder, so the classes, precision and unit go through
+        # the C one of json.dumps, and the tables are written a row at a
+        # time: no string of the whole document is held.
         with open(cfg.out, "w") as fh:
-            _write_json(fh, doc)
-            fh.write("\n")
+            fh.write('{"circ":')
+            _write_ids(fh, t.circ)
+            fh.write(',"classes":[' + ",".join(map(_encode, classes)) + '],"modulus":"p^3","mul":')
+            _write_ids(fh, l.mul)
+            fh.write(f',"precision":{_encode(t.precision)},"unit":{_encode(int(l.unit))}}}\n')
     elif cfg.fmt == "csv":
         # One writerows per table row: a single call over all 118,098 lines
         # would hold them at once (5.7 MB) and was no faster.
@@ -259,25 +243,29 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_enum = sub.add_parser("enumerate", help="print the canonical residue tuples")
+    def command(name, handler, text):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        return p
+
+    p_enum = command("enumerate", cmd_enumerate, "print the canonical residue tuples")
     p_enum.add_argument("--mod", type=int, choices=(1, 2, 3), required=True)
 
-    p_comp = sub.add_parser("compose", help="chord composition of two points")
+    p_comp = command("compose", cmd_compose, "chord composition of two points")
     p_comp.add_argument("--p", required=True)
     p_comp.add_argument("--q", required=True)
 
-    p_lift = sub.add_parser("lift", help="lift a class label to a surface point")
+    p_lift = command("lift", cmd_lift, "lift a class label to a surface point")
     p_lift.add_argument("--family", choices=("P", "Q", "R"), required=True)
     p_lift.add_argument("--params", required=True, help="exp,d1,d2,d3")
 
-    p_table = sub.add_parser("table", help="build and export the Cayley tables")
+    p_table = command("table", cmd_table, "build and export the Cayley tables")
     p_table.add_argument("--out", required=True)
     p_table.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
-    sub.add_parser("verify", help="run every verification check")
-
-    sub.add_parser("witness", help="print the non-associative triple")
-    sub.add_parser("nucleus", help="print the associative center")
+    command("verify", cmd_verify, "run every verification check")
+    command("witness", cmd_witness, "print the non-associative triple")
+    command("nucleus", cmd_nucleus, "print the associative center")
     return parser
 
 
@@ -291,26 +279,10 @@ def run(argv: list[str]) -> int:
             out=getattr(args, "out", None),
             fmt=getattr(args, "fmt", "json"),
         )
-        handler = {
-            "enumerate": cmd_enumerate,
-            "compose": cmd_compose,
-            "lift": cmd_lift,
-            "table": cmd_table,
-            "verify": cmd_verify,
-            "witness": cmd_witness,
-            "nucleus": cmd_nucleus,
-        }[args.command]
-        return handler(args, cfg)
+        return args.handler(args, cfg)
     except CheckFailed as exc:
         return _print_reports([exc.report])
-    except (
-        ParseError,
-        ValueError,
-        OSError,
-        surface.PointsCoincide,
-        surface.DegenerateLine,
-        surface.NotTangentDirection,
-    ) as exc:
+    except (ParseError, ValueError, OSError, surface.PointsCoincide, surface.DegenerateLine) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PrecisionExhausted as exc:

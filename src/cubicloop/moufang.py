@@ -33,7 +33,13 @@ LIFT_SAMPLES = 20
 class AdmissibilityViolation(Exception):
     """Two representative pairs of the same classes composed to different
     classes.  Fatal: it would falsify the admissibility of the mod-pi^3
-    relation, so it always signals a bug."""
+    relation, so it always signals a bug.  `sample` is the (i, j, sample) of
+    the first mismatch, and `matched` the samples that passed before it."""
+
+    def __init__(self, message: str, sample: tuple[int, int, int], matched: int):
+        super().__init__(message)
+        self.sample = sample
+        self.matched = matched
 
 
 class_params = all_params  # the 243 labels, indexed by class id
@@ -274,7 +280,9 @@ def check_admissibility(
         k = int(bad[0])
         raise AdmissibilityViolation(
             f"cell ({i[k]},{j[k]}) sample {k % samples_per_cell}: "
-            f"got class {got[k]}, table says {expected[k]}"
+            f"got class {got[k]}, table says {expected[k]}",
+            (int(i[k]), int(j[k]), k % samples_per_cell),
+            k,
         )
     return len(cell), 0
 
@@ -539,7 +547,7 @@ def _suite_reports(t: ClassTable, unit: int, seed: int):
     try:
         passes, _ = check_admissibility(t, 50, LIFT_SAMPLES, seed)
     except AdmissibilityViolation as exc:
-        yield CheckReport("admissibility", False, 50 * LIFT_SAMPLES, detail=str(exc))
+        yield CheckReport("admissibility", False, exc.matched, exc.sample, str(exc))
         return
     yield CheckReport("admissibility", True, passes)
     triple, left, right = witness_sides(t, l)

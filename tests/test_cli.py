@@ -37,16 +37,30 @@ class TestEnumerate:
         assert lines[:3] == ["1:-1:-p:p", "1:-1:0:0", "1:-1:p:-p"]
         assert lines[-3:] == ["-p:1:-1-p:p", "0:1:-1-p:0", "p:1:-1-p:-p"]
 
+    def test_mod_three_output_is_pinned(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--mod", "3")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == ENUMERATE_MOD3_SHA256
+
     def test_bad_mod(self, capsys):
         with pytest.raises(SystemExit):
             run(capsys, "enumerate", "--mod", "4")
 
 
+def test_no_subcommand_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run([])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.splitlines()[-1] == (
+        "cubicloop: error: the following arguments are required: command"
+    )
+
+
 class TestCompose:
     def test_known_chord(self, capsys):
-        code, out, _ = run(capsys, "compose", "--p", "1:-1:0:0", "--q", "1:0:-1:0")
-        assert code == 0
-        assert out.splitlines()[0] == "0:1:-1:0"
+        got = run(capsys, "compose", "--p", "1:-1:0:0", "--q", "1:0:-1:0")
+        assert got == (0, "0:1:-1:0\ntrace: nu(A)=0 nu(B)=0 margin=inf\n", "")
 
     def test_off_surface_point(self, capsys):
         code, _, err = run(capsys, "compose", "--p", "1:1:1:0", "--q", "1:0:-1:0")
@@ -123,6 +137,8 @@ class TestExitCodeMapping:
         assert code == 3 and "precision failure" in err
 
 
+# sha256 of the stdout of `enumerate --mod 3`
+ENUMERATE_MOD3_SHA256 = "af95eb01f75994a2a747e8e12a5c0067d13b346a20dcb8098949f5ac642bb92f"
 # sha256 of the exported files at the default precision; the table does not
 # depend on the seed.
 JSON_SHA256 = "47d5e324470550e4a9f7a124e3af7ad59a87261d4a7e6502ec00d90998ab38b8"
@@ -141,7 +157,8 @@ class TestTableExport:
     )
     def test_export_bytes_are_pinned(self, capsys, tmp_path, argv, digest):
         out = tmp_path / "t"
-        assert run(capsys, *argv, "--out", str(out))[0] == 0
+        fmt = "csv" if "csv" in argv else "json"
+        assert run(capsys, *argv, "--out", str(out)) == (0, f"wrote {fmt} tables to {out}\n", "")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_json_schema_and_determinism(self, capsys, tmp_path):
@@ -187,6 +204,10 @@ class TestVerifySuites:
         assert code == 0
         assert "PASS non-associative witness" in out
         assert "p vs p-p^2" in out
+
+    def test_nucleus_output(self, capsys):
+        got = run(capsys, "nucleus")
+        assert got == (0, "nucleus size 9\n9 10 11 12 13 14 15 16 17\n", "")
 
     def test_all_suites(self, capsys):
         code, out, _ = run(capsys, "verify")

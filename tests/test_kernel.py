@@ -251,6 +251,7 @@ def test_corrupted_table_fails_on_the_serial_first_sample(table):
     with pytest.raises(M.AdmissibilityViolation) as err:
         M.check_admissibility(bad, 6, 4, 2)
     assert str(err.value) == message
+    assert (err.value.sample, err.value.matched) == ((i, j, 0), 4 * 3)
 
 
 @pytest.fixture(scope="module")

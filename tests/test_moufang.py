@@ -387,15 +387,26 @@ class TestCorruption:
                 check(corrupt)
 
     def test_suite_reports_end_at_a_failed_admissibility(self, table):
-        # relabelled classes keep the table a CML but not the chord geometry
-        perm = np.roll(np.arange(M.N_CLASSES), 1)
-        circ = np.empty_like(table.circ)
-        circ[np.ix_(perm, perm)] = perm[table.circ]
-        relabelled = M.ClassTable(circ, table.precision, table.seed)
-        unit = int(perm[M.named_class(M.U0)])
-        reports = list(M._suite_reports(relabelled, unit, 0))
-        assert [r.passed for r in reports] == [True] * 7 + [False]
-        assert reports[-1].name == "admissibility"
+        # relabelled classes keep the table a CML but not the chord geometry;
+        # every sample composes into the intact table's class, so the first
+        # changed cell fails at its first sample, after all samples before
+        # it.  A rotation changes the first sampled cell; swapping that
+        # cell's two classes leaves it and the two after it as they were.
+        # the 50 cells that the suite's seed-0 check samples, in order
+        i, j = _draw(M.N_CLASSES, M._ADMISSIBILITY_KEY, 0, np.arange(50)[:, None], [0, 1]).T
+        swap = np.arange(M.N_CLASSES)
+        swap[[i[0], j[0]]] = j[0], i[0]
+        for perm, first in ((np.roll(np.arange(M.N_CLASSES), 1), 0), (swap, 3)):
+            circ = np.empty_like(table.circ)
+            circ[np.ix_(perm, perm)] = perm[table.circ]
+            relabelled = M.ClassTable(circ, table.precision, table.seed)
+            unit = int(perm[M.named_class(M.U0)])
+            reports = list(M._suite_reports(relabelled, unit, 0))
+            assert [r.passed for r in reports] == [True] * 7 + [False]
+            assert reports[-1].name == "admissibility"
+            assert np.flatnonzero(circ[i, j] != table.circ[i, j])[0] == first
+            got = (reports[-1].counterexample, reports[-1].checks)
+            assert got == ((i[first], j[first], 0), first * M.LIFT_SAMPLES)
 
     @pytest.mark.parametrize(
         "cell, symmetric",
