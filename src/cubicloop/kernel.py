@@ -11,8 +11,8 @@ at once, taking the exact path's Newton step on the Hensel coordinate.
 `chord_codes` runs `chord` followed by `normalize(r, 3, margin=3)` on many
 pairs of points at once and returns the code (`form_code`) of each
 canonical form.  A lift or cell whose result the residues cannot certify,
-or that the exact path would reject, is refused; the caller takes it to the
-exact `RingElt` path instead.
+or that the exact path would reject, is refused; `moufang.compose_cells`
+retries it up to the kernel's last rung, then raises PrecisionExhausted.
 """
 
 from __future__ import annotations

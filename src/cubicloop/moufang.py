@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,15 +91,12 @@ def classes_of_codes(codes: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ClassTable:
-    """243x243 table of the symmetric composition S1 o S2.
-
-    exact_cells counts the cells composed on the exact path
-    (`compose_classes`) rather than by the batched kernel."""
+    """243x243 table of the symmetric composition S1 o S2, every cell
+    composed by the batched kernel (`compose_cells`)."""
 
     circ: np.ndarray
     precision: int
     seed: int
-    exact_cells: int = 0
 
 
 @dataclass
@@ -136,27 +133,38 @@ MAX_PRECISION = 48
 def next_precision(work: int) -> int:
     """The rung above `work` on the one precision ladder: the double,
     stopping first at kernel.MAX_LIFT_PRECISION (38), the kernel's last, then
-    at MAX_PRECISION (48), the top rung.  Every composition climbs it by one
-    rule: two random lifts with identical digits are redrawn at the same
-    rung with the next attempt's seeds, 16 (_REDRAWS) times at most; any
-    other refusal (PrecisionExhausted, PointsCoincide) moves up a rung with
-    the same seeds; at the top rung it is raised.  By admissibility the rung
-    never changes a class, only the work done."""
+    at MAX_PRECISION (48), the top rung of `compose_classes`.  Every
+    composition climbs it by one rule: two random lifts with identical digits
+    are redrawn at the same rung with the next attempt's seeds, 16 (_REDRAWS)
+    times at most; any other refusal (PrecisionExhausted, PointsCoincide)
+    moves up a rung with the same seeds; at the last rung it is raised.  By
+    admissibility the rung never changes a class, only the work done."""
     for rung in (kernel.MAX_LIFT_PRECISION, MAX_PRECISION):
         if work < rung:
             return min(2 * work, rung)
     return work
 
 
-def _climb(lifts, judge, n: int):
-    """`judge(chord(p, q)[0], q)` for p, q = `lifts(work, k)`, the k-th draw
-    at precision `work`, under the rule of `next_precision` from n."""
+def compose_classes(
+    i: int, j: int, n: int = DEFAULT_PRECISION, seed_pair: tuple[int, int] | None = None
+) -> int:
+    """Class of the chord through representatives of classes i and j, on
+    the exact RingElt path at the rungs of `next_precision` from n: the
+    tests' reference for `compose_cells`.  Equal classes (or an explicit
+    seed pair) use two random lifts."""
+    params = class_params()
+    if seed_pair is None and i == j:
+        seed_pair = (0, 1)
     work, k = n, 0
     while True:
         try:
-            p, q = lifts(work, k)
+            if seed_pair is None:
+                p, q = lift_representative(params[i], work), lift_representative(params[j], work)
+            else:
+                s0, s1 = _seeds(seed_pair, k)
+                p, q = random_lift(params[i], work, s0), random_lift(params[j], work, s1)
             if p != q or k == _REDRAWS:
-                return judge(chord(p, q)[0], q)
+                return class_of_form(normalize(chord(p, q)[0], 3, margin=3))
             k += 1  # two random lifts drew the same digits: redraw at this rung
         except (PrecisionExhausted, PointsCoincide):
             # The points agree to the working precision.  Fixed
@@ -168,36 +176,15 @@ def _climb(lifts, judge, n: int):
             work = next_precision(work)
 
 
-def compose_classes(
-    i: int, j: int, n: int = DEFAULT_PRECISION, seed_pair: tuple[int, int] | None = None
-) -> int:
-    """Class of the chord through representatives of classes i and j,
-    composed at the rungs of `next_precision` from n.  Equal classes (or an
-    explicit seed pair) use two random lifts."""
-    params = class_params()
-    if seed_pair is None and i == j:
-        seed_pair = (0, 1)
-
-    def lifts(work: int, k: int) -> tuple[ProjPoint, ProjPoint]:
-        if seed_pair is None:
-            return lift_representative(params[i], work), lift_representative(params[j], work)
-        s0, s1 = _seeds(seed_pair, k)
-        return random_lift(params[i], work, s0), random_lift(params[j], work, s1)
-
-    return _climb(lifts, lambda r, _: class_of_form(normalize(r, 3, margin=3)), n)
-
-
 def compose_cells(
     i: np.ndarray, j: np.ndarray, n: int, seed_pairs: np.ndarray | None = None
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Per cell k, the class `compose_classes(i[k], j[k], n, seed_pairs[k])`
-    (fixed representatives when `seed_pairs` is None), and how many cells
-    went to `compose_classes`.
-
-    The kernel composes at n and climbs the rungs of `next_precision` up to
-    kernel.MAX_LIFT_PRECISION; the cells it still refuses go to
-    `compose_classes` one rung up, with their current seeds."""
-    i, j = np.asarray(i), np.asarray(j)
+    (fixed representatives when `seed_pairs` is None), composed by the
+    batched kernel at n and at the rungs of `next_precision` above it, up to
+    kernel.MAX_LIFT_PRECISION.  A cell still refused there raises
+    PrecisionExhausted, which names the first such cell."""
+    start, i, j = n, np.asarray(i), np.asarray(j)
     seeds = None if seed_pairs is None else np.array(seed_pairs)
     # fixed representatives: all cells, as a slice that copies no index array
     todo = np.s_[:] if seeds is None else np.arange(len(i))
@@ -225,13 +212,16 @@ def compose_cells(
                 seeds[todo] += np.array(_NEXT_ATTEMPT, seeds.dtype)
                 continue
         todo = np.flatnonzero(cells < 0)
+        if not len(todo):
+            return cells
         n = next_precision(n)
-        if not len(todo) or n > kernel.MAX_LIFT_PRECISION:
-            break
-    for k in todo.tolist():
-        pair = None if seeds is None else tuple(seeds[k].tolist())
-        cells[k] = compose_classes(int(i[k]), int(j[k]), n, pair)
-    return cells, len(todo)
+        if n > kernel.MAX_LIFT_PRECISION:
+            k = todo[0]
+            pair = None if seeds is None else tuple(np.asarray(seed_pairs)[k].tolist())
+            raise PrecisionExhausted(
+                f"cell ({i[k]}, {j[k]}) at n = {start} with seed pair {pair}: "
+                f"refused by the kernel up to precision {kernel.MAX_LIFT_PRECISION}"
+            )
 
 
 def build_class_table(
@@ -245,15 +235,15 @@ def build_class_table(
     LIFT_SAMPLES extra random representative pairs are composed and must
     land in the same class."""
     iu, ju = np.triu_indices(N_CLASSES, k=1)
-    cells, exact = compose_cells(iu, ju, n)
+    cells = compose_cells(iu, ju, n)
     ids = np.arange(N_CLASSES)
     seed_pairs = np.tile((2 * seed, 2 * seed + 1), (N_CLASSES, 1))
-    diag, exact_diag = compose_cells(ids, ids, next_precision(n), seed_pairs)
+    diag = compose_cells(ids, ids, next_precision(n), seed_pairs)
     circ = np.empty((N_CLASSES, N_CLASSES), dtype=np.int16)
     circ[iu, ju] = cells
     circ[ju, iu] = cells
     circ[ids, ids] = diag
-    table = ClassTable(circ, n, seed, exact_cells=exact + exact_diag)
+    table = ClassTable(circ, n, seed)
     if admissibility_cells > 0:
         check_admissibility(table, admissibility_cells, LIFT_SAMPLES, seed)
     return table
@@ -268,12 +258,12 @@ def check_admissibility(
     table: ClassTable, cells: int, samples_per_cell: int, seed: int
 ) -> tuple[int, int]:
     """Re-derive sampled cells from independent random lifts, all composed
-    at once.  The first mismatch, in the order the samples are drawn,
-    raises AdmissibilityViolation; returns (passes, fails)."""
+    at once.  The first mismatch, in the order the samples are drawn, raises
+    AdmissibilityViolation; returns (passes, 0), the pair the benchmark reads."""
     cell = np.arange(cells).repeat(samples_per_cell)[:, None]
     i, j = _draw(N_CLASSES, _ADMISSIBILITY_KEY, seed, cell, [0, 1]).T
     seed_pairs = _draw(1 << 30, _ADMISSIBILITY_KEY, seed, np.arange(len(cell))[:, None], [2, 3])
-    got, _ = compose_cells(i, j, table.precision, seed_pairs)
+    got = compose_cells(i, j, table.precision, seed_pairs)
     expected = table.circ[i, j]
     bad = np.flatnonzero(got != expected)
     if len(bad):
@@ -454,29 +444,37 @@ def ch_check(t: ClassTable, samples: int = 200, seed: int = 0) -> CheckReport:
     return CheckReport("ch-closure abelian", True, checks)
 
 
+@lru_cache(maxsize=1)
+def eckhardt_swaps() -> np.ndarray:
+    """Rows for U0, U1 and U2: the class of each class's tuple with T0 and
+    T1, T0 and T2, or T1 and T2 swapped, read off the exact tuples of
+    `class_forms` with no lifting, on first use."""
+    points = [form.as_point() for form in class_forms()]
+    return np.array([
+        [class_of_point(ProjPoint(tuple(p.coords[k] for k in perm), p.prec)) for p in points]
+        for perm in ((1, 0, 2, 3), (2, 1, 0, 3), (0, 2, 1, 3))
+    ])
+
+
 def eckhardt_check(samples: int, seed: int, n: int = DEFAULT_PRECISION) -> CheckReport:
-    """For each family's unit class U0, U1, U2, the chord through its fixed
-    representative and a random lift of another class equals that lift with
-    two coordinates swapped, mod pi^3; `samples` random lifts per family,
-    composed at the rungs of `next_precision` from n.  The counterexample is
-    (family, class, lift seed)."""
-    params = class_params()
-    checks = 0
-    for unit_lp, perm in ((U0, (1, 0, 2, 3)), (U1, (2, 1, 0, 3)), (U2, (0, 2, 1, 3))):
-        unit, lift_unit = named_class(unit_lp), lru_cache(partial(lift_representative, unit_lp))
-
-        def swaps(r: ProjPoint, pt: ProjPoint) -> bool:
-            swapped = ProjPoint(tuple(pt.coords[k] for k in perm), pt.prec)
-            return normalize(r, 3) == normalize(swapped, 3)
-
-        k = np.arange(samples)
-        # every class but the unit, as an offset from it
-        classes = (unit + 1 + _draw(N_CLASSES - 1, 3, seed, unit, k, 0)) % N_CLASSES
-        for c, s in zip(classes.tolist(), _draw(1 << 30, 3, seed, unit, k, 1).tolist()):
-            if not _climb(lambda w, _: (lift_unit(w), random_lift(params[c], w, s)), swaps, n):
-                return CheckReport("eckhardt swaps", False, checks, (unit_lp.family, c, s))
-            checks += 1
-    return CheckReport("eckhardt swaps", True, checks)
+    """For each family's unit class U0, U1, U2 and `samples` other classes c,
+    random lifts of U and of c compose into c with two coordinates swapped
+    (`eckhardt_swaps`), mod pi^3; all 3 * `samples` cells in one
+    `compose_cells` call from n.  The counterexample is (family, class, seed
+    pair) of the first failing sample."""
+    units = (U0, U1, U2)
+    unit = np.array([named_class(lp) for lp in units]).repeat(samples)
+    k = np.tile(np.arange(samples), len(units))
+    # every class but the unit, as an offset from it
+    classes = (unit + 1 + _draw(N_CLASSES - 1, 3, seed, unit, k, 0)) % N_CLASSES
+    seed_pairs = _draw(1 << 30, 3, seed, unit[:, None], k[:, None], [1, 2])
+    want = eckhardt_swaps()[np.arange(len(units)).repeat(samples), classes]
+    bad = np.flatnonzero(compose_cells(unit, classes, n, seed_pairs) != want)
+    if len(bad):
+        f = int(bad[0])
+        cx = (units[f // samples].family, int(classes[f]), tuple(seed_pairs[f].tolist()))
+        return CheckReport("eckhardt swaps", False, f, cx)
+    return CheckReport("eckhardt swaps", True, len(want))
 
 
 def subloop(l: LoopTable, gens: set[int]) -> set[int]:

@@ -9,6 +9,7 @@ import pytest
 
 import cubicloop.cli as cli
 import cubicloop.moufang as M
+from cubicloop import kernel
 from cubicloop.eisenstein import PrecisionExhausted
 
 
@@ -135,6 +136,20 @@ class TestExitCodeMapping:
         monkeypatch.setattr(cli, "chord", boom)
         code, _, err = run(capsys, "compose", "--p", "1:-1:0:0", "--q", "1:0:-1:0")
         assert code == 3 and "precision failure" in err
+
+    def test_cell_the_kernel_refuses_at_every_rung_is_three(self, capsys, monkeypatch):
+        chord_codes = kernel.chord_codes
+
+        def refuse(pairs, i, j, prec):
+            # fixed representatives are indexed by class id
+            codes = chord_codes(pairs, i, j, prec)
+            codes[(i == 22) & (j == 94)] = -1
+            return codes
+
+        monkeypatch.setattr(kernel, "chord_codes", refuse)
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (3, "")
+        assert err.startswith("precision failure: cell (22, 94) at n = 12 with seed pair None:")
 
 
 # sha256 of the stdout of `enumerate --mod 3`

@@ -97,21 +97,24 @@ def test_lifts_above_the_bound_are_certified_to_it():
         assert kernel.lift_pairs([0, 100, 200], [1, 2, 3], above)[1].all()
 
 
-def test_samples_above_the_lift_bound_stay_in_the_kernel(table, monkeypatch):
+@pytest.fixture
+def kernel_only(monkeypatch):
+    """The exact path's lifts and chord raise, so whatever passes composed
+    every cell in the kernel."""
+
+    def exact_path(*args):
+        raise AssertionError(f"exact path called with {args}")
+
+    for name in ("chord", "random_lift", "lift_representative"):
+        monkeypatch.setattr(M, name, exact_path)
+
+
+def test_samples_above_the_lift_bound_stay_in_the_kernel(table, monkeypatch, kernel_only):
     n = kernel.MAX_LIFT_PRECISION + 1
-    compose_classes = M.compose_classes
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return compose_classes(*args)
-
-    monkeypatch.setattr(M, "compose_classes", counted)
     assert M.check_admissibility(M.ClassTable(table.circ, n, 0), 50, 20, 0) == (1000, 0)
-    assert calls == []
     # A tuple of class 1 off the surface (nu(F) = 0) fails the Hensel
     # criterion: its lift is refused, and chords to a code of no class, so
-    # the sample goes to the exact path only if the code is masked first.
+    # the sample is refused, not a KeyError, only if the code is masked first.
     a, b, hensel, free, bumps = kernel._class_data()
     a = a.copy()
     a[1, hensel[1]] += 1
@@ -120,9 +123,9 @@ def test_samples_above_the_lift_bound_stay_in_the_kernel(table, monkeypatch):
     assert lifted.tolist() == [False, True]
     with pytest.raises(KeyError):
         M.classes_of_codes(kernel.chord_codes(pairs, [0], [1], n))
-    cells, exact = M.compose_cells(np.array([1]), np.array([3]), n, np.array([[0, 1]]))
-    assert (cells.tolist(), exact) == ([table.circ[1, 3]], 1)
-    assert calls == [(1, 3, 48, (0, 1))]
+    with pytest.raises(PrecisionExhausted) as err:
+        M.compose_cells(np.array([1]), np.array([3]), n, np.array([[0, 1]]))
+    assert str(err.value).startswith("cell (1, 3) at n = 39 with seed pair (0, 1):")
 
 
 def test_tuple_failing_the_hensel_criterion_is_refused(monkeypatch):
@@ -199,45 +202,44 @@ def serial_violation(table, cells, samples, seed):
     return None
 
 
-def test_refused_lift_comes_back_from_the_exact_path(table, monkeypatch):
+def test_refused_lift_raises_naming_its_cell(table, monkeypatch):
     lift_pairs = kernel.lift_pairs
-    calls = []
+    rungs = []
     draws = list(admissibility_draws(10, 7, 3))
     # the first class of the second and fifth sampled cells
     refused = {draws[7][0], draws[28][0]}
 
     def refuse_some(classes, seeds, n):
+        rungs.append(n)
         pairs, ok = lift_pairs(classes, seeds, n)
         ok[np.isin(classes, list(refused))] = False
         return pairs, ok
 
-    def counted(i, j, n, seed_pair):
-        calls.append((i, j, n, seed_pair))
-        return compose_classes(i, j, n, seed_pair)
-
-    compose_classes = M.compose_classes
     monkeypatch.setattr(kernel, "lift_pairs", refuse_some)
-    monkeypatch.setattr(M, "compose_classes", counted)
-    assert M.check_admissibility(table, 10, 7, 3) == (70, 0)
-    # refused at 12, 24 and 38, the kernel's rungs; handed off at the next, 48
-    want = [(i, j, 48, pair) for i, j, _, pair in draws if {i, j} & refused]
-    assert 14 <= len(want) < 70
-    assert calls == want
+    with pytest.raises(PrecisionExhausted) as err:
+        M.check_admissibility(table, 10, 7, 3)
+    # refused at 12, 24 and 38, the kernel's rungs; the first such sample is named
+    i, j, _, pair = next(d for d in draws if {d[0], d[1]} & refused)
+    assert str(err.value) == (
+        f"cell ({i}, {j}) at n = 12 with seed pair {pair}: "
+        f"refused by the kernel up to precision 38"
+    )
+    assert rungs == [12, 24, 38]
 
 
-def test_same_class_samples_stay_in_the_kernel(table, monkeypatch):
+def test_same_class_samples_stay_in_the_kernel(table, monkeypatch, kernel_only):
     # seed 0 draws the cell (216, 216), whose samples are near-tangent at 12
     assert (216, 216, 0) in [(i, j, s) for i, j, s, _ in admissibility_draws(50, 20, 0)]
-    compose_classes = M.compose_classes
-    calls = []
+    lift_pairs, rungs = kernel.lift_pairs, []
 
-    def counted(*args, **kw):
-        calls.append(args)
-        return compose_classes(*args, **kw)
+    def counted(classes, seeds, n):
+        rungs.append(n)
+        return lift_pairs(classes, seeds, n)
 
-    monkeypatch.setattr(M, "compose_classes", counted)
+    monkeypatch.setattr(kernel, "lift_pairs", counted)
     assert M.check_admissibility(table, 50, 20, 0) == (1000, 0)
-    assert calls == []
+    # the refused samples climb one rung
+    assert rungs == [12, 24]
 
 
 def test_corrupted_table_fails_on_the_serial_first_sample(table):
@@ -290,7 +292,7 @@ def test_random_lifts_match_compose_classes(i, j, s0, s1, n):
     exact = M.compose_classes(i, j, n, (s0, s1))
     if i != j:
         assert got == exact
-    cells, _ = M.compose_cells([i], [j], n, np.array([[s0, s1]]))
+    cells = M.compose_cells([i], [j], n, np.array([[s0, s1]]))
     assert cells.tolist() == [exact]
 
 
@@ -338,64 +340,51 @@ def test_residues_near_mod_do_not_overflow(residues, prec):
     assert got.tolist() == [python_int_code(points[x], points[y], prec) for x, y in cells]
 
 
-def test_refused_cell_comes_back_from_the_exact_path(table, monkeypatch):
-    chord_codes = kernel.chord_codes
-    calls = []
+def test_refused_cell_raises_naming_it(monkeypatch):
+    chord_codes, rungs = kernel.chord_codes, []
 
     def refuse_one(pairs, i, j, prec):
         # fixed representatives are indexed by class id
         codes = chord_codes(pairs, i, j, prec)
-        codes[(i == 22) & (j == 94)] = -1
+        hit = (i == 22) & (j == 94)
+        if hit.any():
+            rungs.append(prec)
+        codes[hit] = -1
         return codes
 
-    def counted(i, j, n, seed_pair):
-        calls.append((i, j, n, seed_pair))
-        return compose_classes(i, j, n, seed_pair)
-
-    compose_classes = M.compose_classes
     monkeypatch.setattr(kernel, "chord_codes", refuse_one)
-    monkeypatch.setattr(M, "compose_classes", counted)
-    t = M.build_class_table(12, admissibility_cells=0)
-    # refused at 12, 24 and 38, the kernel's rungs; handed off at the next, 48
-    assert calls == [(22, 94, 48, None)]
-    assert t.exact_cells == 1
-    assert np.array_equal(t.circ, table.circ)
+    with pytest.raises(PrecisionExhausted) as err:
+        M.build_class_table(12, admissibility_cells=0)
+    assert str(err.value) == (
+        "cell (22, 94) at n = 12 with seed pair None: refused by the kernel up to precision 38"
+    )
+    # refused at 12, 24 and 38, the kernel's rungs
+    assert rungs == [12, 24, 38]
 
 
 # Cells the kernel refuses at n climb the rungs of next_precision up to 38;
 # the diagonal starts one rung up.
 @pytest.mark.parametrize(
-    "n, exact_cells",
-    [(6, 0), (7, 0), (8, 0), (9, 0), (10, 0), (11, 0), (20, 0), (37, 0), (38, 0), (39, 0),
-     (48, 0), (60, 0)],
+    "n, seed",
+    [(6, 0), (7, 0), (8, 0), (9, 0), (10, 0), (11, 0), (12, 0), (20, 0), (37, 0), (38, 0),
+     (39, 0), (48, 0), (60, 0)],
 )
-def test_low_precision_builds_equal_the_default_table(table, n, exact_cells):
-    t = M.build_class_table(n, admissibility_cells=0)
+def test_low_precision_builds_equal_the_default_table(table, n, seed):
+    t = M.build_class_table(n, seed=seed, admissibility_cells=0)
     assert np.array_equal(t.circ, table.circ)
-    assert t.exact_cells == exact_cells
 
 
 @pytest.mark.parametrize("seed", [1, 26])
-def test_near_tangent_diagonal_cells_at_10_stay_in_the_kernel(table, seed):
+def test_near_tangent_diagonal_cells_at_10_stay_in_the_kernel(table, seed, kernel_only):
     # lifted at 20, one or two diagonal cells are refused; they climb to 38
     t = M.build_class_table(10, seed=seed, admissibility_cells=0)
-    assert t.exact_cells == 0
     assert np.array_equal(t.circ, table.circ)
 
 
-def test_fixed_representatives_above_38_stay_in_the_kernel(table, monkeypatch):
+def test_fixed_representatives_above_38_stay_in_the_kernel(table, kernel_only):
     # the kernel lifts fixed representatives for n = 39, and the diagonal's
     # random lifts at next_precision(39) = 48, to 38
-    calls = []
-
-    def from_table(i, j, n, seed_pair):
-        calls.append((i, j, n))
-        return int(table.circ[i, j])
-
-    monkeypatch.setattr(M, "compose_classes", from_table)
     t = M.build_class_table(39, admissibility_cells=0)
-    assert calls == []
-    assert t.exact_cells == 0
     assert np.array_equal(t.circ, table.circ)
 
 
@@ -420,19 +409,20 @@ def test_low_precision_build_lifts_each_representative_once(table, monkeypatch):
     assert np.array_equal(t.circ, table.circ)
 
 
-def test_default_build_sends_no_cell_to_the_exact_path(table, monkeypatch):
-    assert table.exact_cells == 0
-
-    def exact(*args):
-        raise AssertionError(f"cell {args} went to the exact path")
-
-    monkeypatch.setattr(M, "compose_classes", exact)
+def test_default_build_sends_no_cell_to_the_exact_path(table, kernel_only):
     # at these seeds the two random lifts of one or two diagonal cells drew
     # the same digits (cell 146, 35, and 102 and 188); the kernel redraws them
     for seed in (7, 14, 139):
         t = M.build_class_table(12, admissibility_cells=0, seed=seed)
-        assert t.exact_cells == 0
         assert np.array_equal(t.circ, table.circ)
+
+
+def test_the_program_composes_only_in_the_kernel(table, kernel_only):
+    # the build with its 500-cell admissibility check, and every suite
+    t = M.build_class_table(12)
+    assert np.array_equal(t.circ, table.circ)
+    reports = M.verify_suites(t, M.named_class(M.U0), 0)
+    assert len(reports) == 13 and all(r.passed for r in reports)
 
 
 def test_form_codes_index_the_classes():

@@ -127,7 +127,6 @@ class TestTable:
         redraw = ([102, 188, 102, 188], [s0, s0, s1, s1], 24)
         assert batches == [(ids + ids, seeds, 24), redraw]
         assert calls == []
-        assert t.exact_cells == 0
         assert np.array_equal(t.circ, table.circ)
 
     @pytest.mark.parametrize("seed", [-1, 2**62, 2**64 + 5])
@@ -192,11 +191,15 @@ class TestLoop:
             assert len(closed) == order
             assert {int(loop.inv[x]) for x in closed} <= closed
 
-    @pytest.mark.parametrize("n", range(6, 13))
+    @pytest.mark.parametrize("n", [*range(6, 13), 24, 38, 39, 48, 60])
     def test_eckhardt_check_at_every_precision(self, n):
         # at n = 6-8 some samples exhaust the precision and are retried
         for seed in range(3):
             assert M.eckhardt_check(50, seed, n).passed
+
+    def test_eckhardt_swaps_are_the_unit_rows(self, table):
+        units = [M.named_class(lp) for lp in (M.U0, M.U1, M.U2)]
+        assert np.array_equal(M.eckhardt_swaps(), table.circ[units])
 
     def test_ch_property_sample(self, table):
         report = M.ch_check(table, samples=60, seed=1)
@@ -439,11 +442,21 @@ class TestCorruption:
 
 
     def test_eckhardt_check_names_the_first_failure(self, monkeypatch):
-        # a chord that returns its second point swaps nothing
-        monkeypatch.setattr(M, "chord", lambda p, q: (q, None))
+        # the kernel's first batch holds the 5 samples of U0, U1 and U2 in
+        # turn; the third of U1's composes into the class after its swap
+        chord_codes, calls = kernel.chord_codes, []
+        unit = M.named_class(M.U1)
+        c = (unit + 1 + _draw(M.N_CLASSES - 1, 3, 0, unit, 2, 0)[0]) % M.N_CLASSES
+        wrong = (M.eckhardt_swaps()[1, c] + 1) % M.N_CLASSES
+
+        def corrupt(pairs, i, j, prec):
+            codes = chord_codes(pairs, i, j, prec)
+            if not calls:
+                codes[5 + 2] = kernel.form_code(M.class_forms()[wrong])
+            calls.append(prec)
+            return codes
+
+        monkeypatch.setattr(kernel, "chord_codes", corrupt)
         report = M.eckhardt_check(5, seed=0)
-        # the first class is an offset past the unit U0
-        unit = M.named_class(M.U0)
-        c = (unit + 1 + _draw(M.N_CLASSES - 1, 3, 0, unit, 0, 0)[0]) % M.N_CLASSES
-        first = ("P", int(c), int(_draw(1 << 30, 3, 0, unit, 0, 1)[0]))
-        assert (report.passed, report.checks, report.counterexample) == (False, 0, first)
+        first = ("Q", int(c), tuple(_draw(1 << 30, 3, 0, unit, 2, [1, 2]).tolist()))
+        assert (report.passed, report.checks, report.counterexample) == (False, 7, first)
