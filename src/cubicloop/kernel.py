@@ -12,7 +12,7 @@ at once, taking the exact path's Newton step on the Hensel coordinate.
 pairs of points at once and returns the code (`form_code`) of each
 canonical form.  A lift or cell whose result the residues cannot certify,
 or that the exact path would reject, is refused; `moufang.compose_cells`
-retries it up to the kernel's last rung, then raises PrecisionExhausted.
+retries it once at MAX_LIFT_PRECISION (38), then raises PrecisionExhausted.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -51,42 +53,37 @@ def class_forms() -> tuple[CanonicalForm, ...]:
 
 
 @lru_cache(maxsize=1)
-def _form_index() -> dict[CanonicalForm, int]:
-    index = {form: k for k, form in enumerate(class_forms())}
-    if len(index) != N_CLASSES:
-        raise AssertionError("canonical forms of the 243 classes collide")
-    return index
-
-
-def class_of_form(form: CanonicalForm) -> int:
-    try:
-        return _form_index()[form]
-    except KeyError:
-        raise KeyError(f"canonical form not on the surface: {form}") from None
-
-
-def class_of_point(p: ProjPoint) -> int:
-    return class_of_form(normalize(p, 3))
-
-
-@lru_cache(maxsize=1)
-def _code_index() -> tuple[np.ndarray, np.ndarray]:
+def _form_index() -> tuple[np.ndarray, np.ndarray]:
     """Sorted `kernel.form_code`s of the 243 forms, and their class ids."""
     codes = np.array([kernel.form_code(form) for form in class_forms()], dtype=np.int64)
+    if len(set(codes.tolist())) != N_CLASSES:
+        raise AssertionError("canonical forms of the 243 classes collide")
     order = np.argsort(codes)
     return codes[order], order
 
 
 def classes_of_codes(codes: np.ndarray) -> np.ndarray:
     """Class ids of an array of `kernel.form_code`s, -1 for the kernel's
-    refusals (-1); KeyError names the first other code that is no class's,
-    as `class_of_form` does for a form."""
-    sorted_codes, order = _code_index()
+    refusals (-1); KeyError names the first other code that is no class's."""
+    sorted_codes, order = _form_index()
     pos = np.minimum(np.searchsorted(sorted_codes, codes), N_CLASSES - 1)
     missing = (sorted_codes[pos] != codes) & (codes >= 0)
     if missing.any():
         raise KeyError(f"form code not on the surface: {codes[np.argmax(missing)]}")
     return np.where(codes >= 0, order[pos], -1)
+
+
+def class_of_form(form: CanonicalForm) -> int:
+    """KeyError for a form of no class, and for one whose depth is not 3,
+    whose code may equal a class's."""
+    if form.depth == 3:
+        with suppress(KeyError):
+            return int(classes_of_codes(np.array([kernel.form_code(form)]))[0])
+    raise KeyError(f"canonical form not on the surface: {form}")
+
+
+def class_of_point(p: ProjPoint) -> int:
+    return class_of_form(normalize(p, 3))
 
 
 @dataclass
@@ -117,63 +114,47 @@ class CheckReport:
     detail: str = ""
 
 
-def _seeds(seed_pair: tuple[int, int], attempt: int) -> tuple[int, int]:
-    """Seeds of the two random lifts in attempt `attempt` of `compose_classes`."""
+def _seeds(seed_pair, attempt):
+    """Seeds of the two random lifts of attempt `attempt` from `seed_pair`,
+    in its dtype if `seed_pair` and `attempt` are arrays of one dtype."""
     s0, s1 = seed_pair
     return s0 + attempt, s1 + 1000003 * (attempt + 1)
 
 
-# Attempt a of seed_pair + _NEXT_ATTEMPT draws the lifts of attempt a + 1
-# of seed_pair: _seeds(seed_pair, a + 1) - _seeds(seed_pair, a).
-_NEXT_ATTEMPT = (1, 1000003)
+# Every composition composes at n.  Two identical random lifts are redrawn
+# at n with the next attempt's seeds, 16 (_REDRAWS) times at most.  Any other
+# refusal (PrecisionExhausted, PointsCoincide) is retried once at
+# kernel.MAX_LIFT_PRECISION (38) with the same seeds if n is below it, and
+# raised otherwise.  By admissibility n never changes a class, only the work.
 _REDRAWS = 16
-MAX_PRECISION = 48
-
-
-def next_precision(work: int) -> int:
-    """The rung above `work` on the one precision ladder: the double,
-    stopping first at kernel.MAX_LIFT_PRECISION (38), the kernel's last, then
-    at MAX_PRECISION (48), the top rung of `compose_classes`.  Every
-    composition climbs it by one rule: two random lifts with identical digits
-    are redrawn at the same rung with the next attempt's seeds, 16 (_REDRAWS)
-    times at most; any other refusal (PrecisionExhausted, PointsCoincide)
-    moves up a rung with the same seeds; at the last rung it is raised.  By
-    admissibility the rung never changes a class, only the work done."""
-    for rung in (kernel.MAX_LIFT_PRECISION, MAX_PRECISION):
-        if work < rung:
-            return min(2 * work, rung)
-    return work
 
 
 def compose_classes(
     i: int, j: int, n: int = DEFAULT_PRECISION, seed_pair: tuple[int, int] | None = None
 ) -> int:
     """Class of the chord through representatives of classes i and j, on
-    the exact RingElt path at the rungs of `next_precision` from n: the
-    tests' reference for `compose_cells`.  Equal classes (or an explicit
-    seed pair) use two random lifts."""
+    the exact RingElt path at n, retried at 38 by the rule above: the tests'
+    reference for `compose_cells`.  Equal classes (or an explicit seed pair)
+    use two random lifts."""
     params = class_params()
     if seed_pair is None and i == j:
         seed_pair = (0, 1)
-    work, k = n, 0
+    k = 0
     while True:
         try:
             if seed_pair is None:
-                p, q = lift_representative(params[i], work), lift_representative(params[j], work)
+                p, q = lift_representative(params[i], n), lift_representative(params[j], n)
             else:
                 s0, s1 = _seeds(seed_pair, k)
-                p, q = random_lift(params[i], work, s0), random_lift(params[j], work, s1)
+                p, q = random_lift(params[i], n, s0), random_lift(params[j], n, s1)
             if p != q or k == _REDRAWS:
                 return class_of_form(normalize(chord(p, q)[0], 3, margin=3))
-            k += 1  # two random lifts drew the same digits: redraw at this rung
+            k += 1  # two identical random lifts: redraw at n
         except (PrecisionExhausted, PointsCoincide):
-            # The points agree to the working precision.  Fixed
-            # representatives of distinct classes, and any two distinct
-            # points of one class at low precision, only separate at a
-            # higher one.
-            if next_precision(work) == work:
+            # the points agree to precision n; distinct points separate higher
+            if n >= kernel.MAX_LIFT_PRECISION:
                 raise
-            work = next_precision(work)
+            n = kernel.MAX_LIFT_PRECISION
 
 
 def compose_cells(
@@ -181,20 +162,21 @@ def compose_cells(
 ) -> np.ndarray:
     """Per cell k, the class `compose_classes(i[k], j[k], n, seed_pairs[k])`
     (fixed representatives when `seed_pairs` is None), composed by the
-    batched kernel at n and at the rungs of `next_precision` above it, up to
-    kernel.MAX_LIFT_PRECISION.  A cell still refused there raises
-    PrecisionExhausted, which names the first such cell."""
+    batched kernel at n and retried at 38 by the same rule.  A cell still
+    refused at 38 raises PrecisionExhausted, which names the first such
+    cell."""
     start, i, j = n, np.asarray(i), np.asarray(j)
-    seeds = None if seed_pairs is None else np.array(seed_pairs)
+    seeds = None if seed_pairs is None else np.asarray(seed_pairs)
     # fixed representatives: all cells, as a slice that copies no index array
     todo = np.s_[:] if seeds is None else np.arange(len(i))
-    cells, redraws = np.full(len(i), -1), np.zeros(len(i), np.int8)
+    cells = np.full(len(i), -1)
+    attempts = None if seeds is None else np.zeros(len(i), seeds.dtype)
     while True:
         if seeds is None:  # lifts indexed by class id
             classes, draws, p, q = np.arange(N_CLASSES), None, i[todo], j[todo]
         else:
             classes = np.concatenate([i[todo], j[todo]])
-            draws = np.concatenate(_seeds(seeds[todo].T, 0))
+            draws = np.concatenate(_seeds(seeds[todo].T, attempts[todo]))
             p, q = np.arange(len(classes)).reshape(2, -1)
         pairs, lifted = kernel.lift_pairs(classes, draws, n)
         codes = np.where(lifted[p] & lifted[q], kernel.chord_codes(pairs, p, q, n), -1)
@@ -203,25 +185,22 @@ def compose_cells(
             r = np.flatnonzero(codes < 0)
             (a, b), pr, qr, t = pairs, p[r], q[r], todo[r]
             same = (a[pr] == a[qr]).all(axis=1) & (b[pr] == b[qr]).all(axis=1)
-            if len(redraw := t[same & (redraws[t] < _REDRAWS)]):
+            if len(redraw := t[same & (attempts[t] < _REDRAWS)]):
                 # only these go again at n; the other refused cells wait at -1
                 todo = redraw
-                redraws[todo] += 1
-                # in the seeds' dtype, which an int64 step turns to float64 if
-                # uint64; a sum that wraps is the same `_draw` key mod 2^64
-                seeds[todo] += np.array(_NEXT_ATTEMPT, seeds.dtype)
+                attempts[todo] += 1
                 continue
         todo = np.flatnonzero(cells < 0)
         if not len(todo):
             return cells
-        n = next_precision(n)
-        if n > kernel.MAX_LIFT_PRECISION:
+        if n >= kernel.MAX_LIFT_PRECISION:
             k = todo[0]
-            pair = None if seeds is None else tuple(np.asarray(seed_pairs)[k].tolist())
+            pair = None if seeds is None else tuple(seeds[k].tolist())
             raise PrecisionExhausted(
                 f"cell ({i[k]}, {j[k]}) at n = {start} with seed pair {pair}: "
                 f"refused by the kernel up to precision {kernel.MAX_LIFT_PRECISION}"
             )
+        n = kernel.MAX_LIFT_PRECISION
 
 
 def build_class_table(
@@ -230,15 +209,15 @@ def build_class_table(
     """Build the full o-table and spot-check admissibility.
 
     The cells of distinct classes are composed on fixed representatives at
-    n, the diagonal on two random lifts at next_precision(n), where two
-    lifts of one class separate.  For `admissibility_cells` random cells,
+    n, the diagonal on two random lifts at max(n, 38), where two lifts of
+    one class separate.  For `admissibility_cells` random cells,
     LIFT_SAMPLES extra random representative pairs are composed and must
     land in the same class."""
     iu, ju = np.triu_indices(N_CLASSES, k=1)
     cells = compose_cells(iu, ju, n)
     ids = np.arange(N_CLASSES)
     seed_pairs = np.tile((2 * seed, 2 * seed + 1), (N_CLASSES, 1))
-    diag = compose_cells(ids, ids, next_precision(n), seed_pairs)
+    diag = compose_cells(ids, ids, max(n, kernel.MAX_LIFT_PRECISION), seed_pairs)
     circ = np.empty((N_CLASSES, N_CLASSES), dtype=np.int16)
     circ[iu, ju] = cells
     circ[ju, iu] = cells
@@ -404,13 +383,12 @@ def associator_mask(l: LoopTable) -> np.ndarray:
 
 def find_nonassoc(l: LoopTable, limit: int = 10) -> list[tuple[int, int, int]]:
     """First `limit` non-associative triples in lexicographic order."""
-    out: list[tuple[int, int, int]] = []
-    for x, (left, right) in enumerate(_associator_sides(l)):
-        for y, z in np.argwhere(left != right):
-            out.append((x, int(y), int(z)))
-            if len(out) >= limit:
-                return out
-    return out
+    triples = (
+        (x, int(y), int(z))
+        for x, (left, right) in enumerate(_associator_sides(l))
+        for y, z in np.argwhere(left != right)
+    )
+    return list(islice(triples, limit))  # stops the search at the limit
 
 
 def _closure(op: np.ndarray, gens: set[int]) -> set[int]:

@@ -7,8 +7,8 @@ import pytest
 
 import cubicloop.moufang as M
 from cubicloop import kernel
-from cubicloop.eisenstein import ONE, THETA, ZERO
-from cubicloop.surface import ProjPoint, _draw, normalize
+from cubicloop.eisenstein import ONE, THETA, ZERO, DigitVector, PrecisionExhausted
+from cubicloop.surface import CanonicalForm, ProjPoint, _draw, normalize
 
 
 class TestClassIndexing:
@@ -40,6 +40,22 @@ class TestClassIndexing:
         with pytest.raises(KeyError):
             M.class_of_form(bad)
 
+    def test_form_of_another_depth_is_no_class(self):
+        # one digit more on every coordinate: +27 on the code of coordinate 0
+        # carries into coordinate 1, whose first digit is one lower, so the
+        # depth-4 form has the code of a class's depth-3 form
+        k, form = next((k, f) for k, f in enumerate(M.class_forms()) if f.coords[1].digits[0] > -1)
+        x0, (d, *x1), x2, x3 = (f.digits for f in form.coords)
+        deeper = CanonicalForm(
+            (DigitVector((*x0, 0)), DigitVector((d - 1, *x1, -1)),
+             DigitVector((*x2, -1)), DigitVector((*x3, -1))),
+            form.pivot,
+        )
+        assert kernel.form_code(deeper) == kernel.form_code(form)
+        assert M.class_of_form(form) == k
+        with pytest.raises(KeyError):
+            M.class_of_form(deeper)
+
 
 class TestTable:
     def test_quasigroup(self, table):
@@ -61,14 +77,27 @@ class TestTable:
         # threshold pi^3; only a higher precision separates them
         assert M.compose_classes(5, 5, 6, seed_pair=(0, 1)) == 5
 
-    def test_next_precision_never_lowers_and_stops_at_48(self):
-        for n in range(6, 201):
-            assert n <= M.next_precision(n) <= max(n, 48)
-        ladder = [6]
-        while M.next_precision(ladder[-1]) != ladder[-1]:
-            ladder.append(M.next_precision(ladder[-1]))
-        # the kernel lifts at 12, 24 and 38, its last rung
-        assert ladder == [6, 12, 24, 38, 48]
+    @pytest.mark.parametrize("seed_pair", [None, (0, 1)])
+    @pytest.mark.parametrize("n", [6, 12, 37, 38, 39, 60])
+    def test_refused_cells_are_retried_once_at_38(self, monkeypatch, n, seed_pair):
+        # compose_classes and compose_cells try the same precisions, then raise
+        tried, tried_by_kernel = [], []
+
+        def refuse(p, q):
+            tried.append(p.prec)
+            raise PrecisionExhausted("forced")
+
+        def refuse_all(pairs, i, j, prec):
+            tried_by_kernel.append(prec)
+            return np.full(len(i), -1)
+
+        monkeypatch.setattr(M, "chord", refuse)
+        monkeypatch.setattr(kernel, "chord_codes", refuse_all)
+        with pytest.raises(PrecisionExhausted):
+            M.compose_classes(3, 7, n, seed_pair)
+        with pytest.raises(PrecisionExhausted):
+            M.compose_cells([3], [7], n, None if seed_pair is None else [seed_pair])
+        assert tried == tried_by_kernel == ([n, 38] if n < 38 else [n])
 
     def test_points_coincide_at_the_top_rung_is_raised(self, monkeypatch):
         lifts = []
@@ -85,7 +114,7 @@ class TestTable:
         monkeypatch.setattr(M, "chord", coincide)
         with pytest.raises(M.PointsCoincide):
             M.compose_classes(3, 7, 60)
-        # 60 is above 48, so it is the top rung: no retry, and none lower
+        # 60 is above 38, the kernel's full precision: no retry, and none lower
         assert lifts == [60, 60]
 
     def test_identical_lifts_redraw_at_the_same_rung(self, monkeypatch):
@@ -102,10 +131,33 @@ class TestTable:
         assert M.compose_classes(5, 5, 24, (0, 1)) == 5
         assert draws == [(24, s) for s in (*first, *M._seeds((0, 1), 1))]
 
-    def test_diagonal_lifts_once_at_doubled_precision(self, table, monkeypatch):
-        # one batch of two lifts per diagonal cell at n = 24; at seed 139 the
-        # two lifts of cells 102 and 188 drew the same digits, and only they
-        # are lifted again, with the next attempt's seeds
+    @pytest.mark.parametrize(
+        "pair",
+        [np.array([[-7, 2**62]]), np.array([[2**63 + 5, 2**64 - 3]], np.uint64),
+         np.array([[2**64 + 5, 2**70]], object)],
+        ids=["int64", "uint64", "object"],
+    )
+    def test_identical_kernel_lifts_redraw_with_the_next_seeds(self, monkeypatch, pair):
+        batches, lift_pairs = [], kernel.lift_pairs
+
+        def same_first(classes, seeds, n):
+            batches.append((list(classes), seeds, n))
+            # the first attempt's two lifts are made identical
+            return lift_pairs(classes, seeds[:1].repeat(2) if len(batches) == 1 else seeds, n)
+
+        monkeypatch.setattr(kernel, "lift_pairs", same_first)
+        assert M.compose_cells([5], [5], 24, pair).tolist() == [5]
+        assert [(c, n) for c, _, n in batches] == [([5, 5], 24)] * 2
+        redrawn = batches[1][1]
+        # in the seeds' dtype, so that a sum that wraps is the same key mod 2^64
+        assert redrawn.dtype == pair.dtype
+        want = M._seeds(tuple(pair[0].tolist()), 1)
+        assert [int(s) % 2**64 for s in redrawn] == [s % 2**64 for s in want]
+
+    def test_diagonal_lifts_once_at_the_kernel_precision(self, table, monkeypatch):
+        # one batch of two lifts per diagonal cell at max(12, 38) = 38; at
+        # seed 63 the two lifts of cells 146 and 194 are identical, and only
+        # they are lifted again, with the next attempt's seeds
         batches, calls = [], []
         lift_pairs, random_lift = kernel.lift_pairs, M.random_lift
 
@@ -120,12 +172,12 @@ class TestTable:
 
         monkeypatch.setattr(kernel, "lift_pairs", counted_batch)
         monkeypatch.setattr(M, "random_lift", counted)
-        t = M.build_class_table(12, admissibility_cells=0, seed=139)
+        t = M.build_class_table(12, admissibility_cells=0, seed=63)
         ids = list(range(M.N_CLASSES))
-        seeds = [278] * M.N_CLASSES + [279 + 1000003] * M.N_CLASSES
-        s0, s1 = M._seeds((278, 279), 1)
-        redraw = ([102, 188, 102, 188], [s0, s0, s1, s1], 24)
-        assert batches == [(ids + ids, seeds, 24), redraw]
+        seeds = [126] * M.N_CLASSES + [127 + 1000003] * M.N_CLASSES
+        s0, s1 = M._seeds((126, 127), 1)
+        redraw = ([146, 194, 146, 194], [s0, s0, s1, s1], 38)
+        assert batches == [(ids + ids, seeds, 38), redraw]
         assert calls == []
         assert np.array_equal(t.circ, table.circ)
 
@@ -346,7 +398,8 @@ class TestFastL4MatchesOracle:
         mask = np.stack([left != right for left, right in oracle_associator_sides(l)])
         assert np.array_equal(M.associator_mask(l), mask)
         assert outcome(M.nucleus, l) == outcome(oracle_nucleus, l)
-        assert M.find_nonassoc(l, limit=10) == oracle_nonassoc(l, 10)
+        for limit in (0, 1, 10):
+            assert M.find_nonassoc(l, limit) == oracle_nonassoc(l, limit)
 
 
 class TestCorruption:
