@@ -264,11 +264,6 @@ def _mismatch(left: np.ndarray, right: np.ndarray, *x: int) -> tuple | None:
     return (*x, *(int(v) for v in np.argwhere(left != right)[0]))
 
 
-def _first_mismatch(sides) -> tuple | None:
-    """`_mismatch(*sides(x), x)` for the first x where it is not None."""
-    return next(filter(None, (_mismatch(*sides(x), x) for x in range(N_CLASSES))), None)
-
-
 def _stray_cell(table: np.ndarray) -> tuple[int, int] | None:
     """The first cell, in row order, that holds no class id, or None."""
     stray = (table < 0) | (table >= N_CLASSES)
@@ -283,7 +278,7 @@ def verify_quasigroup(t: ClassTable) -> CheckReport:
         return CheckReport("class ids", False, N_CLASSES**2, cell, f"value {circ[cell]}")
     if (bad := _mismatch(circ, circ.T)) is not None:
         return CheckReport("symmetric", False, N_CLASSES**2, bad)
-    if (bad := _first_mismatch(lambda x: (circ[x, circ[x]], ids))) is not None:
+    if (bad := _mismatch(circ[ids[:, None], circ], np.broadcast_to(ids, circ.shape))) is not None:
         return CheckReport("involution", False, N_CLASSES**2, bad)
     return CheckReport("symmetric quasigroup", True, 2 * N_CLASSES**2)
 
@@ -310,22 +305,35 @@ def _gather_views(mul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def verify_cml(l: LoopTable) -> list[CheckReport]:
     """Commutativity, unit, inverses and the three weak-associativity laws.
     A failed report's counterexample is the law's first failing (x, y, z),
-    cut to the variables the law has."""
+    cut to the variables the law has.
+
+    The two n^3 laws run in one loop over x and share one table per x,
+    F = M[:, L_x] (F[a, z] = a(xz), L_x the row of x), built as a row
+    gather of the contiguous transpose of M, transposed back: (xy)(xz) is
+    F's rows gathered by L_x, and y(xz) is F itself, so neither law gathers
+    a column or compares a transposed view.  F is an exact rearrangement of
+    M, and no law assumes commutativity."""
     m, unit, n = l.mul, l.unit, N_CLASSES
     v, ix = _gather_views(m)
-    ix_t = np.ascontiguousarray(ix.T)
+    v_t = np.ascontiguousarray(v.T)
     ids = np.arange(n)
     sq = ix[ids, ids]
+    law5 = law6 = None  # the first failing (x, y, z) of each n^3 law
+    for x in range(n):
+        f = np.ascontiguousarray(v_t.take(ix[x], 0).T)
+        if law5 is None:
+            law5 = _mismatch(f.take(ix[x], 0), v[sq[x]].take(ix), x)
+        if law6 is None:
+            law6 = _mismatch(v[x].take(f), v.take(ix[sq[x]], 0), x)
+        if law5 is not None and law6 is not None:
+            break
     laws = [
         ("commutativity", n * n, _mismatch(m, m.T)),
         ("unit", n, _mismatch(m[unit], ids)),
         ("inverses", n, _mismatch(m[ids, l.inv], np.full(n, unit))),
-        ("x(xy) = x^2 y", n * n, _first_mismatch(lambda x: (v[x].take(ix[x]), v[sq[x]]))),
-        ("(xy)(xz) = x^2(yz)", n**3,
-         _first_mismatch(lambda x: (v.take(ix[x], 0).take(ix[x], 1), v[sq[x]].take(ix)))),
-        # y(xz) is gathered as rows of the transpose, indexed [z, y]
-        ("x(y(xz)) = (x^2 y)z", n**3,
-         _first_mismatch(lambda x: (v[x].take(ix_t.take(ix[x], 0)).T, v.take(ix[sq[x]], 0)))),
+        ("x(xy) = x^2 y", n * n, _mismatch(v[ids[:, None], ix], v.take(sq, 0))),
+        ("(xy)(xz) = x^2(yz)", n**3, law5),
+        ("x(y(xz)) = (x^2 y)z", n**3, law6),
     ]
     return [CheckReport(name, cx is None, checks, cx) for name, checks, cx in laws]
 
@@ -360,10 +368,25 @@ def _associator_sides(l: LoopTable):
         yield v.take(ix[x], 0), v[x].take(ix)
 
 
+# Rows x at which `nucleus` screens its candidates.  Each keeps the
+# candidates a with (a x) y = a (x y) for all y; in the loop of every unit
+# these three leave just the nine members of the nucleus.  A row that is
+# itself a nucleus member keeps every candidate.
+_SCREEN_ROWS = range(40, N_CLASSES, 81)
+
+
 def nucleus(l: LoopTable) -> set[int]:
-    """Associative center: a with (a x) y = a (x y) for all x, y."""
+    """Associative center: a with (a x) y = a (x y) for all x, y.  The
+    candidates that fail at one of the `_SCREEN_ROWS` x are dropped first,
+    all a at once in one gather per row, and every survivor is checked at
+    all x and y, so the set is exact whatever the screen keeps."""
+    v, ix = _gather_views(l.mul)
+    keep = np.ones(N_CLASSES, dtype=bool)
+    for x in _SCREEN_ROWS:
+        # [a, y] holds (a x) y on the left and a (x y) on the right
+        keep &= (v.take(ix[:, x], 0) == v.take(ix[x], 1)).all(axis=1)
     members = {
-        a for a, (left, right) in enumerate(_associator_sides(l)) if np.array_equal(left, right)
+        int(a) for a in np.flatnonzero(keep) if np.array_equal(v.take(ix[a], 0), v[a].take(ix))
     }
     # a subloop: closed under mul and inverses, contains the unit
     if l.unit not in members or _closure(l.mul, members) != members:
@@ -391,35 +414,91 @@ def find_nonassoc(l: LoopTable, limit: int = 10) -> list[tuple[int, int, int]]:
     return list(islice(triples, limit))  # stops the search at the limit
 
 
+# Elements of the largest temporary array that `ch_check` and `_closures`
+# build for one run of samples (a run holds one sample at least).
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _runs(cost: np.ndarray):
+    """Consecutive slices of range(len(cost)), each the longest run from
+    its start whose length times its largest cost is at most
+    `_CHUNK_ELEMENTS`, or one item."""
+    start = 0
+    while start < len(cost):
+        # nondecreasing, so the runs that fit are a prefix
+        fits = np.maximum.accumulate(cost[start:]) * np.arange(1, len(cost) - start + 1)
+        stop = start + max(1, int(np.count_nonzero(fits <= _CHUNK_ELEMENTS)))
+        yield slice(start, stop)
+        start = stop
+
+
+def _member_lists(member: np.ndarray) -> np.ndarray:
+    """Each membership row's classes in ascending order, padded to the
+    longest with the row's first class."""
+    size = member.sum(axis=1)
+    ids = np.argsort(~member, axis=1, kind="stable")[:, : size.max()]
+    return np.where(np.arange(ids.shape[1]) < size[:, None], ids, ids[:, :1])
+
+
+def _closures(op: np.ndarray, gens) -> np.ndarray:
+    """Membership rows of the closures under the operation table `op` of
+    the rows of `gens`, all grown together.  The padding of
+    `_member_lists` only repeats products already taken."""
+    member = np.zeros((len(gens), N_CLASSES), dtype=bool)
+    member[np.arange(len(gens))[:, None], gens] = True
+    while True:
+        grown = member.copy()
+        for run in _runs(member.sum(axis=1) ** 2):
+            ids = _member_lists(member[run])
+            rows = np.arange(len(ids))[:, None, None]
+            grown[run][rows, op[ids[:, :, None], ids[:, None, :]]] = True
+        if np.array_equal(grown, member):
+            return member
+        member = grown
+
+
 def _closure(op: np.ndarray, gens: set[int]) -> set[int]:
     """Closure of `gens` under the operation table `op`."""
-    closed = set(gens)
-    while True:
-        ids = sorted(closed)
-        grown = closed | set(op[np.ix_(ids, ids)].ravel().tolist())
-        if grown == closed:
-            return closed
-        closed = grown
+    return set(np.flatnonzero(_closures(op, [sorted(gens)])[0]).tolist())
+
+
+def _abelian_failures(circ: np.ndarray, member: np.ndarray) -> np.ndarray:
+    """Per closure (a membership row): 0 if the law a *' b = u' o (a o b),
+    u' its least class, is commutative and associative, else 1 if it is not
+    commutative and 2 if it is not associative.  The closures are
+    relabelled by rank and padded by `_member_lists`; a padded index acts
+    as the least class, so it only repeats checks."""
+    ids = _member_lists(member)
+    rank = np.cumsum(member, axis=1, dtype=np.int16) - 1
+    g = np.arange(len(ids))[:, None, None]
+    sub = rank[g, circ[ids[:, :, None], ids[:, None, :]]]
+    m = sub[g, 0, sub].astype(np.uint8)  # [g, a, b] = u' o (a o b)
+    commutative = (m == m.transpose(0, 2, 1)).all(axis=(1, 2))
+    # [g, a, x, y] holds (ax)y on the left, a gather of rows of m, and
+    # a(xy) on the right, a gather of its cells
+    k = ids.shape[1]
+    left = m.reshape(-1, k).take(g * k + m, axis=0)
+    right = m.take(((g * k + np.arange(k)[:, None]) * k)[..., None] + m[:, None])
+    associative = (left == right).all(axis=(1, 2, 3))
+    return np.where(commutative, np.where(associative, 0, 2), 1)
 
 
 def ch_check(t: ClassTable, samples: int = 200, seed: int = 0) -> CheckReport:
     """Any three elements must generate an Abelian subquasigroup: the law
-    a *' b = u' o (a o b) on the o-closure is an Abelian group law."""
+    a *' b = u' o (a o b) on the o-closure is an Abelian group law.  The
+    closures of all samples grow together (`_closures`); their laws are
+    tested in runs of draws, each within `_CHUNK_ELEMENTS`, up to the run
+    that holds the first failing triple in draw order."""
     triples = _draw(N_CLASSES, 2, seed, np.arange(samples)[:, None], range(3))
-    checks = 0
-    for triple in map(tuple, triples.tolist()):
-        closed = sorted(_closure(t.circ, set(triple)))
-        # the closure relabelled 0..k-1, so that its table indexes itself
-        sub = np.searchsorted(closed, t.circ[np.ix_(closed, closed)])
-        uprime = 0  # any fixed element of the closure
-        m = sub[uprime][sub]
-        if not np.array_equal(m, m.T):
-            return CheckReport("ch-closure abelian", False, checks, triple, "not commutative")
-        # [a, x, y] holds (ax)y on the left and a(xy) on the right
-        if not np.array_equal(m[m], m[:, m]):
-            return CheckReport("ch-closure abelian", False, checks, triple, "not associative")
-        checks += 1
-    return CheckReport("ch-closure abelian", True, checks)
+    member = _closures(t.circ, triples)
+    for run in _runs(member.sum(axis=1) ** 3):
+        failures = _abelian_failures(t.circ, member[run])
+        if failures.any():
+            k = int(np.argmax(failures > 0))
+            detail = ("not commutative", "not associative")[failures[k] - 1]
+            cx = tuple(triples[run][k].tolist())
+            return CheckReport("ch-closure abelian", False, run.start + k, cx, detail)
+    return CheckReport("ch-closure abelian", True, samples)
 
 
 @lru_cache(maxsize=1)

@@ -374,11 +374,29 @@ def test_low_precision_builds_equal_the_default_table(table, n, seed):
     assert np.array_equal(t.circ, table.circ)
 
 
-@pytest.mark.parametrize("seed", [1, 26])
-def test_near_tangent_diagonal_cells_at_10_stay_in_the_kernel(table, seed, kernel_only):
-    # the 243 cells refused at 10 are retried at 38, and the diagonal is
-    # composed at 38, where seed 1 redraws cell 60
+@pytest.mark.parametrize(
+    "seed, redraws", [(1, [([60, 60], [3, 3 + 2 * 1000003])]), (26, [])], ids=["1", "26"]
+)
+def test_cells_refused_at_10_are_retried_at_38_in_the_kernel(
+    table, monkeypatch, kernel_only, seed, redraws
+):
+    # the off-diagonal cells refused at 10 are retried at 38, which lifts
+    # the 243 representatives again; the diagonal's two random lifts per
+    # class lift at 38, where at seed 1 (seed pair (2, 3)) the two lifts of
+    # class 60 are identical and are redrawn with the next attempt's seeds
+    lift_pairs, batches, redrawn = kernel.lift_pairs, [], []
+
+    def counted(classes, seeds, n):
+        batches.append((len(classes), n))
+        if len(classes) == 2:
+            redrawn.append((np.asarray(classes).tolist(), np.asarray(seeds).tolist()))
+        return lift_pairs(classes, seeds, n)
+
+    monkeypatch.setattr(kernel, "lift_pairs", counted)
     t = M.build_class_table(10, seed=seed, admissibility_cells=0)
+    n = M.N_CLASSES
+    assert batches == [(n, 10), (n, 38), (2 * n, 38), *[(2, 38)] * len(redraws)]
+    assert redrawn == redraws
     assert np.array_equal(t.circ, table.circ)
 
 

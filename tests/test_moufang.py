@@ -1,6 +1,7 @@
 """Composition-table structure and the loop-theoretic verification suites."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,8 @@ class TestLoop:
     def test_ch_property_sample(self, table):
         report = M.ch_check(table, samples=60, seed=1)
         assert report.passed
+        no_samples = M.ch_check(table, samples=0, seed=5)
+        assert (no_samples.passed, no_samples.checks, no_samples.counterexample) == (True, 0, None)
 
 
 def cml_law_holds(l, name, args):
@@ -357,11 +360,28 @@ def oracle_closure(circ, gens):
     return closed
 
 
+def ch_triples(samples, seed):
+    return [tuple(_draw(M.N_CLASSES, 2, seed, k, range(3)).tolist()) for k in range(samples)]
+
+
+def ch_corrupted(table, cell, symmetric, sample):
+    """The table with `cell` moved to the next member of the closure of
+    the seed-0 triple `sample`, and with its mirror cell too if `symmetric`;
+    the table itself if `cell` is None."""
+    circ = table.circ.copy()
+    if cell is not None:
+        a, b = cell
+        closed = sorted(oracle_closure(table.circ, ch_triples(200, 0)[sample]))
+        circ[a, b] = closed[(closed.index(circ[a, b]) + 1) % len(closed)]
+        if symmetric:
+            circ[b, a] = circ[a, b]
+    return M.ClassTable(circ, table.precision, table.seed)
+
+
 def oracle_ch_check(t, samples, seed):
     """`ch_check`'s (passed, checks, counterexample, detail), with the law
     of each closure tested for associativity one row at a time."""
-    triples = [tuple(_draw(M.N_CLASSES, 2, seed, k, range(3)).tolist()) for k in range(samples)]
-    for checks, triple in enumerate(triples):
+    for checks, triple in enumerate(ch_triples(samples, seed)):
         ids = sorted(oracle_closure(t.circ, triple))
         lut = np.full(M.N_CLASSES, -1)
         lut[ids] = np.arange(len(ids))
@@ -389,9 +409,12 @@ def outcome(fn, *args):
 
 
 class TestFastL4MatchesOracle:
-    @pytest.mark.parametrize("case", ["U0", "unit-100", "symmetric", "unit-row", "inverse-cell"])
+    @pytest.mark.parametrize(
+        "case", ["U0", "unit-100", "unit-0", "unit-242", "symmetric", "unit-row", "inverse-cell"]
+    )
     def test_checks_equal_the_oracle(self, table, loop, case):
-        loops = {"U0": loop, "unit-100": M.loop_from(table, 100)}
+        # the benchmark's verify workload cycles through every unit
+        loops = {"U0": loop, **{f"unit-{u}": M.loop_from(table, u) for u in (100, 0, 242)}}
         l = {**loops, **corrupted_loops(table, loop)}[case]
         got = [(r.name, r.passed, r.checks, r.counterexample) for r in M.verify_cml(l)]
         assert got == oracle_cml(l)
@@ -400,6 +423,20 @@ class TestFastL4MatchesOracle:
         assert outcome(M.nucleus, l) == outcome(oracle_nucleus, l)
         for limit in (0, 1, 10):
             assert M.find_nonassoc(l, limit) == oracle_nonassoc(l, limit)
+
+    def test_nucleus_checks_every_survivor_of_its_screen(self, loop):
+        # one cell of row 6 changed: each member of the intact nucleus 9-17
+        # but the unit (13) now fails at row 6 and at one more row in 0-8,
+        # rows that the screen skips, so only the full check can drop them
+        assert sorted(M.nucleus(loop)) == list(range(9, 18))
+        mul = loop.mul.copy()
+        mul[6, 0] = (mul[6, 0] + 1) % M.N_CLASSES
+        corrupt = M.LoopTable(mul, loop.unit, loop.inv)
+        for a, (left, right) in enumerate(oracle_associator_sides(corrupt)):
+            if 9 <= a <= 17 and a != loop.unit:
+                failing = set(np.flatnonzero((left != right).any(axis=1)).tolist())
+                assert 6 in failing and failing <= set(range(9)) - set(M._SCREEN_ROWS)
+        assert outcome(M.nucleus, corrupt) == outcome(oracle_nucleus, corrupt) == {loop.unit}
 
 
 class TestCorruption:
@@ -465,28 +502,41 @@ class TestCorruption:
             assert got == ((i[first], j[first], 0), first * M.LIFT_SAMPLES)
 
     @pytest.mark.parametrize(
-        "cell, symmetric",
-        [(None, False), ((34, 12), True), ((34, 12), False), ((12, 89), True), ((12, 89), False)],
-        ids=["intact", "symmetric-34-12", "one-sided-34-12", "symmetric-12-89", "one-sided-12-89"],
+        "cell, symmetric, first",
+        [(None, False, None), ((34, 12), True, 5), ((34, 12), False, 5), ((12, 89), True, 5),
+         ((12, 89), False, 5), ((27, 43), True, 100), ((27, 43), False, 100)],
+        ids=["intact", "symmetric-34-12", "one-sided-34-12", "symmetric-12-89", "one-sided-12-89",
+             "symmetric-27-43", "one-sided-27-43"],
     )
-    def test_ch_check_equals_the_oracle(self, table, cell, symmetric):
-        # the cell, inside the closure of the sixth seed-0 triple, moves to
+    def test_ch_check_equals_the_oracle(self, table, cell, symmetric, first):
+        # the cell, inside the closure of the seed-0 triple `first`, moves to
         # the next member of that closure; a symmetric change keeps the
-        # closure's law commutative but not associative
-        circ = table.circ.copy()
-        if cell is not None:
-            a, b = cell
-            closed = sorted(oracle_closure(table.circ, {168, 12, 155}))
-            circ[a, b] = closed[(closed.index(circ[a, b]) + 1) % len(closed)]
-            if symmetric:
-                circ[b, a] = circ[a, b]
-        bad = M.ClassTable(circ, table.precision, table.seed)
+        # closure's law commutative but not associative.  (27, 43) is in no
+        # closure before triple 100's; closures up to there have at most 9
+        # classes, so a run of draws from the first holds fewer than 100
+        assert M._CHUNK_ELEMENTS // 9**3 < 100
+        bad = ch_corrupted(table, cell, symmetric, first)
         report = M.ch_check(bad, 200, 0)
         got = (report.passed, report.checks, report.counterexample, report.detail)
         assert got == oracle_ch_check(bad, 200, 0)
         if cell is not None:
             detail = "not associative" if symmetric else "not commutative"
-            assert got == (False, 5, (168, 12, 155), detail)
+            assert got == (False, first, ch_triples(200, 0)[first], detail)
+
+    def test_ch_check_memory_stays_within_its_runs(self, table):
+        # the corruption grows the closure of the last triple to 81 classes;
+        # testing all 200 closures at once, padded to 81, would take about
+        # 850 MB
+        bad = ch_corrupted(table, (34, 12), True, 5)
+        assert len(oracle_closure(bad.circ, ch_triples(200, 0)[199])) == 81
+        tracemalloc.start()
+        try:
+            report = M.ch_check(bad, 200, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (report.passed, report.checks) == (False, 5)
+        assert peak < 2 << 20
 
     def test_admissibility_detects_corruption(self, table):
         bad = M.ClassTable((table.circ + 1) % M.N_CLASSES, table.precision, table.seed)
