@@ -139,6 +139,23 @@ def _write_ids(fh, table: np.ndarray) -> None:
     fh.write("]")
 
 
+@functools.lru_cache(maxsize=1)
+def _classes_text() -> str:
+    """The JSON array of the classes' records (id, family, exp, digits and
+    the representative's digits), the same for every table."""
+    classes = (
+        {
+            "id": k,
+            "family": lp.family,
+            "exp": lp.exp,
+            "digits": list(lp.digits),
+            "rep": [list(d.digits) for d in form.coords],
+        }
+        for k, (lp, form) in enumerate(zip(class_params(), class_forms()))
+    )
+    return "[" + ",".join(map(_encode, classes)) + "]"
+
+
 def export_table(t: ClassTable, l: LoopTable, cfg: Config) -> None:
     if cfg.out is None:
         raise ParseError("--out is required for table export")
@@ -147,26 +164,15 @@ def export_table(t: ClassTable, l: LoopTable, cfg: Config) -> None:
         if (cell := moufang._stray_cell(table)) is not None:
             raise ValueError(f"{name} cell {cell} is {table[cell]}, not a class id")
     if cfg.fmt == "json":
-        classes = []
-        for k, (lp, form) in enumerate(zip(class_params(), class_forms())):
-            classes.append(
-                {
-                    "id": k,
-                    "family": lp.family,
-                    "exp": lp.exp,
-                    "digits": list(lp.digits),
-                    "rep": [list(d.digits) for d in form.coords],
-                }
-            )
         # The text that json.dump(..., sort_keys=True, separators=(",", ":"))
         # gives the document, keys in that order.  json.dump runs the
-        # pure-Python encoder, so the classes, precision and unit go through
-        # the C one of json.dumps, and the tables are written a row at a
-        # time: no string of the whole document is held.
+        # pure-Python encoder, so the classes (`_classes_text`), precision
+        # and unit go through the C one of json.dumps, and the tables are
+        # written a row at a time: no string of the whole document is held.
         with open(cfg.out, "w") as fh:
             fh.write('{"circ":')
             _write_ids(fh, t.circ)
-            fh.write(',"classes":[' + ",".join(map(_encode, classes)) + '],"modulus":"p^3","mul":')
+            fh.write(f',"classes":{_classes_text()},"modulus":"p^3","mul":')
             _write_ids(fh, l.mul)
             fh.write(f',"precision":{_encode(t.precision)},"unit":{_encode(int(l.unit))}}}\n')
     elif cfg.fmt == "csv":

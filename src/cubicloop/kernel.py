@@ -1,18 +1,28 @@
-"""Batched chord composition of fixed points over Z3[theta] mod 3^K.
+"""Batched chord composition of fixed points over Z3[theta] mod 3^k.
 
-An element a + b*theta is held as a pair of int64 arrays of residues in
-[0, 3^K).  This is the capped-absolute precision model of p-adic libraries:
+An element a + b*theta is held as a pair of integer arrays of residues in
+[0, 3^k).  This is the capped-absolute precision model of p-adic libraries:
 the modulus is the precision.  Since 3 = unit * pi^2, a residue pair fixes
-the element mod pi^(2K), so any valuation below 2K is read exactly and a
-residue pair of zeros means "valuation at least 2K".
+the element mod pi^(2k), so any valuation below 2k is read exactly and a
+residue pair of zeros means "valuation at least 2k".
 
 `lift_pairs` runs `lift_representative` or `random_lift` on many classes
-at once, taking the exact path's Newton step on the Hensel coordinate.
-`chord_codes` runs `chord` followed by `normalize(r, 3, margin=3)` on many
-pairs of points at once and returns the code (`form_code`) of each
-canonical form.  A lift or cell whose result the residues cannot certify,
-or that the exact path would reject, is refused; `moufang.compose_cells`
-retries it once at MAX_LIFT_PRECISION (38), then raises PrecisionExhausted.
+at once, mod 3^K, taking the exact path's Newton step on the Hensel
+coordinate.  `chord_codes` runs `chord` followed by `normalize(r, 3,
+margin=3)` on many pairs of points at once and returns the code
+(`form_code`) of each canonical form.  A lift or cell whose result the
+residues cannot certify, or that the exact path would reject, is refused;
+`moufang.compose_cells` retries it once at MAX_LIFT_PRECISION (38), then
+raises PrecisionExhausted.
+
+The chord kernel's modulus follows the precision.  With prec = min(n, 2K)
+it works mod 3^k for k = min(K, prec - 4) (`chord_exponent`), in int32
+while 4(3^k - 1)^2 < 2^31 - 3^k, that is for k <= 9 (prec <= 13), and in
+int64 above (`residue_dtype`).  This is exact: the normalize guard accepts
+only vmin <= prec - 6 = k - 2, so dividing by pi^vmin still leaves the
+residue mod 9, and 2k >= prec - 3 lets the chord guard min(nu(A), nu(B))
+< prec - 3 be read exactly, so every code and every refusal is the one the
+computation mod 3^K gives.
 """
 
 from __future__ import annotations
@@ -37,17 +47,28 @@ from .surface import (
 
 K = 19
 MOD = 3**K
-# A product of two residues in [0, MOD) has both components within (MOD-1)^2
-# of 0: 0 <= ac, bd <= (MOD-1)^2, and ad + b(c - d) lies in [0, (MOD-1)c]
-# when c >= d and in [-b(d - c), ad] when c < d.  `_block_codes` sums four
-# such products (A, B), or takes the difference of two (R), before it
-# reduces, and `_reduce` needs its argument above -2^63 + MOD.  At K = 20 a
-# single product would overflow int64.
-if 4 * (MOD - 1) ** 2 >= 2**63 - MOD:
-    raise AssertionError(f"sums of residue products mod 3^{K} overflow int64")
 
-# Cells per block: keeps the temporaries of one block near 1 MB.
-BLOCK = 1024
+
+def residue_dtype(k: int) -> type[np.signedinteger]:
+    """The dtype of residues mod 3^k: int32 where every sum of the kernel
+    fits (k <= 9), else int64."""
+    return np.int32 if 4 * (3**k - 1) ** 2 < 2**31 - 3**k else np.int64
+
+
+# A product of two residues in [0, 3^k) has both components within
+# (3^k - 1)^2 of 0: 0 <= ac, bd <= (3^k - 1)^2, and ad + b(c - d) lies in
+# [0, (3^k - 1)c] when c >= d and in [-b(d - c), ad] when c < d.
+# `_block_codes` sums four such products (A, B), or takes the difference of
+# two (R), before it reduces, and `_reduce` needs its argument above the
+# dtype's minimum + 3^k.  At k = 20 a single product would overflow int64.
+if any(
+    4 * (3**k - 1) ** 2 >= np.iinfo(residue_dtype(k)).max + 1 - 3**k for k in range(2, K + 1)
+):
+    raise AssertionError(f"sums of residue products mod 3^k, k <= {K}, overflow their dtype")
+
+# Bytes of one residue row of a block: 1,024 int64 or 2,048 int32 cells,
+# which keeps the temporaries of one block near 1 MB.
+BLOCK_BYTES = 8192
 
 _POW3 = 3 ** np.arange(K + 2, dtype=np.int64)
 # The chord's margin rule: normalize(r, 3, margin=3) needs prec - vmin >= 6.
@@ -56,9 +77,9 @@ _MARGIN = 3
 
 
 def _reduce(x, mod: int = MOD):
-    """x mod `mod`, as `x % mod`, for int64 x above -2^63 + mod.  numpy
-    divides an int64 array by a scalar with a multiply and a shift, but runs
-    `%` as a hardware division, about five times slower."""
+    """x mod `mod`, as `x % mod`, for x above its dtype's minimum + mod.
+    numpy divides an integer array by a scalar with a multiply and a shift,
+    but runs `%` as a hardware division, about five times slower."""
     return x - x // mod * mod
 
 
@@ -79,9 +100,9 @@ def _add(x, y):
     return _reduce(x[0] + y[0]), _reduce(x[1] + y[1])
 
 
-def _times_theta(x):
+def _times_theta(x, mod: int = MOD):
     a, b = x
-    return _reduce(-b), _reduce(a - b)
+    return _reduce(-b, mod), _reduce(a - b, mod)
 
 
 def _unit_inverse(x):
@@ -113,22 +134,37 @@ def _low_v3_table() -> np.ndarray:
 _LOW_V3 = _low_v3_table()
 
 
-def _v3(x: np.ndarray) -> np.ndarray:
-    """nu_3 of residues in [0, 3^K), read as at least K for 0."""
-    low = _LOW_V3[_reduce(x, 3**_LOW)]
-    return np.where(low == _LOW, _LOW + _LOW_V3[x // 3**_LOW], low)
+def _v3(x: np.ndarray, k: int) -> np.ndarray:
+    """nu_3 of residues in [0, 3^k), read as at least k for 0."""
+    if k <= _LOW:
+        return _LOW_V3.take(x)
+    low = _LOW_V3.take(_reduce(x, 3**_LOW))
+    return np.where(low == _LOW, _LOW + _LOW_V3.take(x // 3**_LOW), low)
 
 
-def _nu(x) -> np.ndarray:
-    """pi-adic valuation of residue pairs, capped at 2K.
+def _nu(x, k: int = K) -> np.ndarray:
+    """pi-adic valuation of residue pairs mod 3^k, capped at 2k.
 
-    With t = min(nu_3(a), nu_3(b), K), nu = 2t, plus 1 when a/3^t + b/3^t
+    With t = min(nu_3(a), nu_3(b), k), nu = 2t, plus 1 when a/3^t + b/3^t
     = 0 mod 3, that is a + b = 0 mod 3^(t+1) (the pair is then divisible by
-    pi but not by 3)."""
+    pi but not by 3).  Where nu_3 is one lookup (k <= _LOW), that is read as
+    nu_3(a + b mod 3^k) > t for t < k (at t = k the cap hides it), else as
+    a division."""
     a, b = x
-    t = np.minimum(np.minimum(_v3(a), _v3(b)), K)
-    odd = (a + b) % _POW3[t + 1] == 0
-    return np.minimum(2 * t + odd, 2 * K)
+    t = np.minimum(np.minimum(_v3(a, k), _v3(b, k)), k)
+    if k <= _LOW:
+        odd = _v3(_reduce(a + b, 3**k), k) > t
+    else:
+        odd = (a + b) % _POW3[t + 1] == 0
+    return np.minimum(2 * t + odd, 2 * k)
+
+
+def _divisible(x, e: int) -> np.ndarray:
+    """Whether pi^e divides each residue pair mod 3^k, for e <= 2k: with
+    3 = unit * pi^2, when 3^floor(e/2) divides a and 3^ceil(e/2) divides
+    a + b (as in `_nu`)."""
+    a, b = x
+    return (_reduce(a, 3 ** (e // 2)) == 0) & (_reduce(a + b, 3 ** -(-e // 2)) == 0)
 
 
 def _digit_code(d: DigitVector) -> int:
@@ -162,18 +198,18 @@ def _quotient_digits() -> np.ndarray:
     return digits[9 * qa + qb]
 
 
-def _pi_shifts() -> tuple[np.ndarray, np.ndarray]:
-    """s_v = (2 + theta)^v * 3^(K-2-v) mod 3^K for v = 0..K-2.  Since pi *
-    (2 + theta) = 3, x * s_v = 3^(K-2) * (x / pi^v) for x divisible by
-    pi^v, so (x * s_v mod 3^K) / 3^(K-2) is x / pi^v mod 9."""
-    shifts, power = [], (1, 0)
-    for v in range(K - 1):
-        shifts.append(_mul(power, (3 ** (K - 2 - v), 0)))
-        power = _mul(power, (2, 1))
-    return tuple(np.array(c, dtype=np.int64) for c in zip(*shifts))
+@lru_cache(maxsize=None)
+def _pi_shifts(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """s_v = (2 + theta)^v * 3^(k-2-v) mod 3^k for v = 0..k-2.  Since pi *
+    (2 + theta) = 3, x * s_v = 3^(k-2) * (x / pi^v) for x divisible by
+    pi^v, so (x * s_v mod 3^k) / 3^(k-2) is x / pi^v mod 9."""
+    mod, shifts, power = 3**k, [], (1, 0)
+    for v in range(k - 1):
+        shifts.append(_mul(power, (3 ** (k - 2 - v), 0), mod))
+        power = _mul(power, (2, 1), mod)
+    return tuple(np.array(c, dtype=residue_dtype(k)) for c in zip(*shifts))
 
 
-_SHIFT_A, _SHIFT_B = _pi_shifts()
 # The digit codes of the four coordinates go in base 27 (`form_code`).
 _CODE_WEIGHTS = 27 ** np.arange(4, dtype=np.int64)[:, None]
 
@@ -255,6 +291,12 @@ def lift_pairs(
     return (a, b), criterion & (v >= t)
 
 
+def chord_exponent(prec: int) -> int:
+    """The k of the modulus 3^k that `chord_codes` works mod at precision
+    `prec` >= 6: min(K, min(prec, 2K) - 4)."""
+    return min(K, min(prec, 2 * K) - 4)
+
+
 def chord_codes(
     pairs: tuple[np.ndarray, np.ndarray], i: np.ndarray, j: np.ndarray, prec: int
 ) -> np.ndarray:
@@ -265,44 +307,54 @@ def chord_codes(
     min(prec, 2K), plus one of the residues' own: a cell is refused when
     min(nu(A), nu(B)) >= prec - 3 (chord), when prec - vmin < 3 + 3
     (normalize), or when dividing by pi^vmin would leave less than the
-    mod-pi^4 residue (vmin > K - 2)."""
+    mod-pi^4 residue (vmin > k - 2).  The lifts' residues mod 3^K are
+    reduced mod 3^k, k = `chord_exponent(prec)` (see the module docstring)."""
     prec = min(prec, 2 * K)
     i, j = np.asarray(i), np.asarray(j)
+    out = np.full(len(i), -1, dtype=np.int64)
+    if prec < _DIGITS + _MARGIN:
+        return out  # the margin rule refuses every cell
+    k = chord_exponent(prec)
     # coordinate-major, so that sums and minima over the four coordinates
     # run over rows
-    coords = tuple(np.ascontiguousarray(x.T) for x in pairs)
-    out = np.empty(len(i), dtype=np.int64)
-    for start in range(0, len(i), BLOCK):
-        sl = slice(start, start + BLOCK)
-        out[sl] = _block_codes(coords, i[sl], j[sl], prec)
+    coords = tuple(
+        np.ascontiguousarray(_reduce(x, 3**k).T, dtype=residue_dtype(k)) for x in pairs
+    )
+    block = BLOCK_BYTES // coords[0].itemsize
+    for start in range(0, len(i), block):
+        sl = slice(start, start + block)
+        out[sl] = _block_codes(coords, i[sl], j[sl], prec, k)
     return out
 
 
-def _block_codes(coords, i, j, prec: int) -> np.ndarray:
-    """`chord_codes` of one block, on residues of shape (4, m)."""
+def _block_codes(coords, i, j, prec: int, k: int) -> np.ndarray:
+    """`chord_codes` of one block, on residues mod 3^k of shape (4, m)."""
+    mod = 3**k
     p = coords[0].take(i, axis=1), coords[1].take(i, axis=1)
     q = coords[0].take(j, axis=1), coords[1].take(j, axis=1)
     # A = sum c_k p_k^2 q_k, B = sum c_k p_k q_k^2 with c = (1, 1, 1, theta):
     # the four products of c*p*q (reduced) with p or q, summed, then reduced.
-    cpq = _mul(p, q)
-    cpq[0][3], cpq[1][3] = _times_theta((cpq[0][3], cpq[1][3]))
-    A = tuple(_reduce(x.sum(axis=0)) for x in _prod(cpq, p))
-    B = tuple(_reduce(x.sum(axis=0)) for x in _prod(cpq, q))
+    cpq = _mul(p, q, mod)
+    cpq[0][3], cpq[1][3] = _times_theta((cpq[0][3], cpq[1][3]), mod)
+    A = tuple(_reduce(x.sum(axis=0, dtype=x.dtype), mod) for x in _prod(cpq, p))
+    B = tuple(_reduce(x.sum(axis=0, dtype=x.dtype), mod) for x in _prod(cpq, q))
     # R = B*p - A*q
     bp, aq = _prod(B, p), _prod(A, q)
-    r = _reduce(bp[0] - aq[0]), _reduce(bp[1] - aq[1])
-    vals = _nu(r)
+    r = _reduce(bp[0] - aq[0], mod), _reduce(bp[1] - aq[1], mod)
+    vals = _nu(r, k)
     vmin = vals.min(axis=0)
-    # With integral coordinates vmin >= min(nu(A), nu(B)), so the normalize
-    # guard implies the chord guard; both are kept, as on the exact path.
-    ok = (
-        (np.minimum(_nu(A), _nu(B)) < prec - 3)
-        & (prec - vmin >= _DIGITS + _MARGIN)
-        & (vmin <= K - 2)
+    # The chord guard min(nu(A), nu(B)) < prec - 3 <= 2k, read as one
+    # divisibility.  With integral coordinates vmin >= min(nu(A), nu(B)), so
+    # the normalize guard implies the chord guard; both are kept, as on the
+    # exact path.  An accepted vmin <= k - 2 < 2k is read exactly.
+    ok = ~(_divisible(A, prec - 3) & _divisible(B, prec - 3)) & (
+        vmin <= min(prec - _DIGITS - _MARGIN, k - 2)
     )
     v = np.where(ok, vmin, 0)
-    # Every coordinate divided by pi^v, mod 9: known mod 3^(K - v) >= 9.
-    ca, cb = (_reduce(x) // 3 ** (K - 2) for x in _prod(r, (_SHIFT_A[v], _SHIFT_B[v])))
+    # Every coordinate divided by pi^v, mod 9: known mod pi^(2k - v), and
+    # 2k - v >= k + 2 >= 4.
+    shift_a, shift_b = _pi_shifts(k)
+    ca, cb = (_reduce(x, mod) // 3 ** (k - 2) for x in _prod(r, (shift_a[v], shift_b[v])))
     c = 9 * ca + cb
     # The pivot is the first coordinate of valuation vmin, a unit after the
     # division; read three digits of each coordinate over it.

@@ -1,4 +1,5 @@
-"""The batched mod-3^K lift and chord kernels against the exact RingElt path."""
+"""The batched lift (mod 3^K) and chord (mod 3^k) kernels against the exact
+RingElt path."""
 
 import random
 
@@ -156,30 +157,66 @@ def test_unit_inverse():
     assert (one_a == 1).all() and (one_b == 0).all()
 
 
-def residues():
-    """Residues in [0, 3^K): any, or a multiple of 3^k for some k <= K."""
-    mod = kernel.MOD
+def residues(k):
+    """Residues in [0, 3^k): any, or a multiple of 3^e for some e <= k."""
+    mod = 3**k
     return st.integers(0, mod - 1) | st.builds(
-        lambda k, m: 3**k * m % mod, st.integers(0, kernel.K), st.integers(0, mod - 1)
+        lambda e, m: 3**e * m % mod, st.integers(0, k), st.integers(0, mod - 1)
     )
 
 
-# (0, 0), 3^k on either side, and b = -a, for every k <= K
-EDGE_PAIRS = [(0, 0)] + [
-    pair
-    for k in range(kernel.K + 1)
-    for pair in ((3**k, 0), (0, 3**k), (3**k, -(3**k)))
-]
+def edge_pairs(k):
+    """(0, 0), 3^e on either side, and b = -a, for every e <= k."""
+    return [(0, 0)] + [
+        pair for e in range(k + 1) for pair in ((3**e, 0), (0, 3**e), (3**e, -(3**e)))
+    ]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(residues(), residues(), st.booleans()), max_size=40))
-def test_nu_is_the_exact_valuation_capped_at_2k(draws):
-    # the flag turns (a, b) into the odd case (a, -a): a + b*theta = a(1 - theta)
-    pairs = EDGE_PAIRS + [(a, -a if odd else b) for a, b, odd in draws]
-    a, b = (np.array([x[k] % kernel.MOD for x in pairs], dtype=np.int64) for k in (0, 1))
-    want = [min(nu(RingElt(int(x), int(y))), 2 * kernel.K) for x, y in zip(a, b)]
-    assert kernel._nu((a, b)).tolist() == want
+@given(data=st.data())
+def test_nu_is_the_exact_valuation_capped_at_2k(data):
+    # 2 and K bound the chord kernel's exponents; int32 holds k = 8 and 9,
+    # the largest, and int64 k = 10 and up; k = K is the lift kernel's
+    for k in (2, 8, 9, kernel.K):
+        draws = data.draw(st.lists(st.tuples(residues(k), residues(k), st.booleans()), max_size=40))
+        # the flag turns (a, b) into the odd case (a, -a): a + b*theta = a(1 - theta)
+        pairs = edge_pairs(k) + [(a, -a if odd else b) for a, b, odd in draws]
+        dtype = kernel.residue_dtype(k)
+        a, b = (np.array([x[c] % 3**k for x in pairs], dtype=dtype) for c in (0, 1))
+        exact = [nu(RingElt(int(x), int(y))) for x, y in zip(a, b)]
+        assert kernel._nu((a, b), k).tolist() == [min(v, 2 * k) for v in exact]
+        # the chord guard's divisibility test, at every exponent it can read
+        for e in range(2 * k + 1):
+            assert kernel._divisible((a, b), e).tolist() == [v >= e for v in exact]
+
+
+def test_every_chord_exponent_fits_its_dtype(monkeypatch):
+    # every exponent the rule picks from precision 6 up, with its overflow
+    # bound: four products of residues summed, above the dtype's minimum + 3^k
+    exponents = {kernel.chord_exponent(prec) for prec in range(6, 3 * kernel.MAX_LIFT_PRECISION)}
+    assert exponents == set(range(2, kernel.K + 1))
+    for k in exponents:
+        dtype = kernel.residue_dtype(k)
+        assert 4 * (3**k - 1) ** 2 < np.iinfo(dtype).max + 1 - 3**k
+        assert (dtype == np.int32) == (k <= 9)
+    # int32 up to precision 13 (k = 9), int64 from 14 (k = 10)
+    block_codes, seen = kernel._block_codes, []
+
+    def recorded(coords, i, j, prec, k):
+        seen.append((prec, k, coords[0].dtype))
+        return block_codes(coords, i, j, prec, k)
+
+    monkeypatch.setattr(kernel, "_block_codes", recorded)
+    pairs, _ = kernel.lift_pairs([0, 100], None, 12)
+    for prec in (6, 12, 13, 14, 24, 60):
+        kernel.chord_codes(pairs, [0], [1], prec)
+    assert seen == [
+        (6, 2, np.int32), (12, 8, np.int32), (13, 9, np.int32), (14, 10, np.int64),
+        (24, kernel.K, np.int64), (2 * kernel.K, kernel.K, np.int64),
+    ]
+    # below precision 6 the margin rule refuses every cell, uncomputed
+    assert kernel.chord_codes(pairs, [0, 1], [1, 0], 5).tolist() == [-1, -1]
+    assert len(seen) == 6
 
 
 def admissibility_draws(cells, samples, seed):
@@ -275,7 +312,7 @@ def test_every_off_diagonal_cell_matches_the_exact_path(reps12):
     st.integers(0, M.N_CLASSES - 1),
     st.integers(0, (1 << 30) - 1),
     st.integers(0, (1 << 30) - 1),
-    st.sampled_from([12, 39, 60]),
+    st.sampled_from([12, 13, 39, 60]),
 )
 def test_random_lifts_match_compose_classes(i, j, s0, s1, n):
     params = M.class_params()
@@ -311,33 +348,52 @@ def test_guards_refuse_exactly_what_the_exact_path_refuses():
 def python_int_code(p, q, prec):
     """The cell's `form_code` on the exact path, whose RingElt arithmetic is
     on Python ints and never reduced, or -1 where it or the kernel's own
-    guard (vmin <= K - 2) refuses."""
+    guard (vmin <= k - 2) refuses."""
     try:
         r, _ = chord(p, q)
         form = normalize(r, 3, margin=3)
     except (PrecisionExhausted, PointsCoincide, DegenerateLine):
         return -1
-    if min(nu(c) for c in r.coords) > kernel.K - 2:
+    if min(nu(c) for c in r.coords) > kernel.chord_exponent(prec) - 2:
         return -1
     return kernel.form_code(form)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    st.lists(st.integers(kernel.MOD - 3**4, kernel.MOD - 1), min_size=16, max_size=16),
-    st.sampled_from([6, 12, 24, 38]),
+    st.lists(st.integers(1, 3**4), min_size=16, max_size=16),
+    # 13 is int32's tightest exponent (k = 9), 14 the first int64 one
+    st.sampled_from([6, 12, 13, 14, 24, 38]),
 )
-def test_residues_near_mod_do_not_overflow(residues, prec):
-    # every residue of point 0 is MOD - 1, where each product and sum of the
-    # kernel is largest; points 1 and 2 are drawn near MOD
-    top = [kernel.MOD - 1] * 4
-    a = np.array([top, residues[0:4], residues[8:12]], dtype=np.int64)
-    b = np.array([top, residues[4:8], residues[12:16]], dtype=np.int64)
+def test_residues_near_mod_do_not_overflow(below, prec):
+    # the kernel works mod 3^k; every residue of point 0 is 3^k - 1, where
+    # each product and sum of the kernel is largest; points 1 and 2 are
+    # drawn near 3^k
+    mod = 3 ** kernel.chord_exponent(prec)
+    near = [(mod - d) % mod for d in below]
+    top = [mod - 1] * 4
+    a = np.array([top, near[0:4], near[8:12]], dtype=np.int64)
+    b = np.array([top, near[4:8], near[12:16]], dtype=np.int64)
     cells = [(0, 1), (1, 0), (0, 2), (1, 2), (2, 2)]
     i, j = np.array(cells).T
     got = kernel.chord_codes((a, b), i, j, prec)
     points = to_points((a, b), prec)
     assert got.tolist() == [python_int_code(points[x], points[y], prec) for x, y in cells]
+
+
+def test_chords_deeper_than_k_minus_2_are_refused():
+    # at 38 the kernel works mod 3^K; q = p + 3^e * h puts the chord's vmin
+    # at 16-26, where normalize still accepts up to 32 but the residues
+    # divide by pi^vmin only up to K - 2 = 17
+    (a, b), _ = kernel.lift_pairs([0, 100, 200], None, 38)
+    deep = []
+    for e in (8, 9, 12):
+        pairs = np.vstack([a, (a + 3**e * np.array([1, 2, 0, 1])) % kernel.MOD]), np.vstack([b, b])
+        got = kernel.chord_codes(pairs, [0, 1, 2], [3, 4, 5], 38)
+        points = to_points(pairs, 38)
+        assert got.tolist() == [python_int_code(points[c], points[c + 3], 38) for c in range(3)]
+        deep += [min(nu(x) for x in chord(points[c], points[c + 3])[0].coords) for c in range(3)]
+    assert min(deep) == 16 and max(deep) == 26
 
 
 def test_refused_cell_raises_naming_it(monkeypatch):
@@ -366,8 +422,8 @@ def test_refused_cell_raises_naming_it(monkeypatch):
 # composed at max(n, 38).
 @pytest.mark.parametrize(
     "n, seed",
-    [(6, 0), (7, 0), (8, 0), (9, 0), (10, 0), (11, 0), (12, 0), (20, 0), (37, 0), (38, 0),
-     (39, 0), (48, 0), (60, 0)],
+    [(6, 0), (7, 0), (8, 0), (9, 0), (10, 0), (11, 0), (12, 0), (13, 0), (14, 0), (20, 0),
+     (37, 0), (38, 0), (39, 0), (48, 0), (60, 0)],
 )
 def test_low_precision_builds_equal_the_default_table(table, n, seed):
     t = M.build_class_table(n, seed=seed, admissibility_cells=0)
