@@ -125,25 +125,23 @@ def _build(cfg: Config) -> tuple[ClassTable, LoopTable]:
     return table, loop_from(table, named_class(moufang.U0))
 
 
-_encode = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-# Decimal text of each class id, indexed by the id.
-_ID_TEXT = np.array([str(k) for k in range(moufang.N_CLASSES)], dtype=object)
+# Zero-padded JSON of class k in a table: "k," (row k), "k],[" in the last column (243 + k)
+_TOKENS = np.array([f"{k}{e}" for e in (",", "],[") for k in range(moufang.N_CLASSES)], "S6")
 
 
-def _write_ids(fh, table: np.ndarray) -> None:
-    """Write `table` as a JSON array of rows, one row at a time, each row
-    joined from the class ids' decimal text."""
-    fh.write("[")
-    for i, row in enumerate(table):
-        fh.write(("," if i else "") + "[" + ",".join(_ID_TEXT[row].tolist()) + "]")
-    fh.write("]")
+def _ids_json(table: np.ndarray) -> bytes:
+    """`table` as a JSON array of rows: one gather of tokens, padding masked out."""
+    index = table.astype(np.intp)
+    index[:, -1] += moufang.N_CLASSES
+    text = _TOKENS.take(index).view(np.uint8)
+    return b"[[" + text[text != 0].tobytes()[:-2] + b"]"
 
 
 @functools.lru_cache(maxsize=1)
-def _classes_text() -> str:
+def _classes_text() -> bytes:
     """The JSON array of the classes' records (id, family, exp, digits and
     the representative's digits), the same for every table."""
-    classes = (
+    classes = [
         {
             "id": k,
             "family": lp.family,
@@ -152,29 +150,23 @@ def _classes_text() -> str:
             "rep": [list(d.digits) for d in form.coords],
         }
         for k, (lp, form) in enumerate(zip(class_params(), class_forms()))
-    )
-    return "[" + ",".join(map(_encode, classes)) + "]"
+    ]
+    return json.dumps(classes, sort_keys=True, separators=(",", ":")).encode()
 
 
 def export_table(t: ClassTable, l: LoopTable, cfg: Config) -> None:
     if cfg.out is None:
         raise ParseError("--out is required for table export")
     for name, table in (("circ", t.circ), ("mul", l.mul)):
-        # a negative entry would index `_ID_TEXT` from its end
+        # an entry outside [0, 243) would index another entry's token
         if (cell := moufang._stray_cell(table)) is not None:
             raise ValueError(f"{name} cell {cell} is {table[cell]}, not a class id")
     if cfg.fmt == "json":
-        # The text that json.dump(..., sort_keys=True, separators=(",", ":"))
-        # gives the document, keys in that order.  json.dump runs the
-        # pure-Python encoder, so the classes (`_classes_text`), precision
-        # and unit go through the C one of json.dumps, and the tables are
-        # written a row at a time: no string of the whole document is held.
-        with open(cfg.out, "w") as fh:
-            fh.write('{"circ":')
-            _write_ids(fh, t.circ)
-            fh.write(f',"classes":{_classes_text()},"modulus":"p^3","mul":')
-            _write_ids(fh, l.mul)
-            fh.write(f',"precision":{_encode(t.precision)},"unit":{_encode(int(l.unit))}}}\n')
+        # json.dump's bytes with sorted keys and no spaces; its Python encoder is slow
+        with open(cfg.out, "wb") as fh:
+            fh.writelines((b'{"circ":', _ids_json(t.circ), b',"classes":', _classes_text()))
+            fh.writelines((b',"modulus":"p^3","mul":', _ids_json(l.mul)))
+            fh.write(b',"precision":%d,"unit":%d}\n' % (t.precision, l.unit))
     elif cfg.fmt == "csv":
         # One writerows per table row: a single call over all 118,098 lines
         # would hold them at once (5.7 MB) and was no faster.

@@ -28,6 +28,7 @@ from .surface import (
 )
 
 N_CLASSES = 243
+_SLOTS = 1975  # the least modulus at which the class codes and the refusal -1 differ
 # Random lift pairs per sampled cell of an admissibility check.
 LIFT_SAMPLES = 20
 
@@ -53,24 +54,26 @@ def class_forms() -> tuple[CanonicalForm, ...]:
 
 
 @lru_cache(maxsize=1)
-def _form_index() -> tuple[np.ndarray, np.ndarray]:
-    """Sorted `kernel.form_code`s of the 243 forms, and their class ids."""
-    codes = np.array([kernel.form_code(form) for form in class_forms()], dtype=np.int64)
-    if len(set(codes.tolist())) != N_CLASSES:
-        raise AssertionError("canonical forms of the 243 classes collide")
-    order = np.argsort(codes)
-    return codes[order], order
+def _form_index() -> np.ndarray:
+    """Per slot code mod _SLOTS, the class's `kernel.form_code` and id, or -1 and -1."""
+    codes = [kernel.form_code(form) for form in class_forms()] + [-1]
+    slots = np.array(codes) % _SLOTS
+    if np.bincount(slots).max() != 1:
+        raise AssertionError(f"class codes and the refusal -1 collide mod {_SLOTS}")
+    index = np.full((2, _SLOTS), -1)
+    index[:, slots] = codes, [*range(N_CLASSES), -1]
+    return index
 
 
 def classes_of_codes(codes: np.ndarray) -> np.ndarray:
     """Class ids of an array of `kernel.form_code`s, -1 for the kernel's
     refusals (-1); KeyError names the first other code that is no class's."""
-    sorted_codes, order = _form_index()
-    pos = np.minimum(np.searchsorted(sorted_codes, codes), N_CLASSES - 1)
-    missing = (sorted_codes[pos] != codes) & (codes >= 0)
+    slot_codes, slot_ids = _form_index()
+    slots = kernel._reduce(codes, _SLOTS)
+    missing = slot_codes.take(slots) != codes
     if missing.any():
         raise KeyError(f"form code not on the surface: {codes[np.argmax(missing)]}")
-    return np.where(codes >= 0, order[pos], -1)
+    return slot_ids.take(slots)
 
 
 def class_of_form(form: CanonicalForm) -> int:

@@ -1,4 +1,5 @@
-"""Independent brute-force oracles for the residue-class enumeration.
+"""Independent brute-force oracles for the residue-class enumeration, and
+reference versions of fast lookups.
 
 A canonical tuple mod pi^n (pivot coordinate exactly 1, earlier coordinates
 divisible by pi) is realized by a surface point iff some extension of its
@@ -11,6 +12,10 @@ ring arithmetic.
 
 from itertools import product
 
+import numpy as np
+
+import cubicloop.moufang as M
+from cubicloop import kernel
 from cubicloop.eisenstein import PI, THETA, DigitVector, RingElt, from_digits, nu
 from cubicloop.surface import CanonicalForm
 
@@ -104,3 +109,17 @@ def check_on_surface(coords, min_valuation: int) -> bool:
     t0, t1, t2, t3 = coords
     f = t0**3 + t1**3 + t2**3 + THETA * t3**3
     return nu(f) >= min_valuation
+
+
+def classes_by_search(codes: np.ndarray) -> np.ndarray:
+    """`moufang.classes_of_codes` by binary search in the sorted class codes:
+    class ids of `kernel.form_code`s, -1 for a negative code; KeyError names
+    the first other code that is no class's."""
+    codes_of_classes = np.array([kernel.form_code(f) for f in M.class_forms()])
+    order = np.argsort(codes_of_classes)
+    sorted_codes = codes_of_classes[order]
+    pos = np.minimum(np.searchsorted(sorted_codes, codes), M.N_CLASSES - 1)
+    missing = (sorted_codes[pos] != codes) & (codes >= 0)
+    if missing.any():
+        raise KeyError(f"form code not on the surface: {codes[np.argmax(missing)]}")
+    return np.where(codes >= 0, order[pos], -1)

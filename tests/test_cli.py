@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 
+import numpy as np
 import pytest
 
 import cubicloop.cli as cli
@@ -175,6 +176,14 @@ class TestTableExport:
         fmt = "csv" if "csv" in argv else "json"
         assert run(capsys, *argv, "--out", str(out)) == (0, f"wrote {fmt} tables to {out}\n", "")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_json_tables_are_the_text_json_dumps_gives(self, table, loop):
+        rng = np.random.default_rng(20)
+        tables = [rng.integers(0, 243, size=(243, 243), dtype=np.int16) for _ in range(3)]
+        for t in tables:
+            t[:3, -1] = (7, 42, 242)  # rows whose last id has 1, 2 and 3 digits
+        for t in (*tables, table.circ, loop.mul):
+            assert cli._ids_json(t) == json.dumps(t.tolist(), separators=(",", ":")).encode()
 
     def test_json_schema_and_determinism(self, capsys, tmp_path):
         # the pinned digests above make every run's bytes equal

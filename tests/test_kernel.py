@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubicloop.moufang as M
+import oracles
 from cubicloop import kernel
 from cubicloop.eisenstein import PrecisionExhausted, RingElt, nu
 from cubicloop.surface import (
@@ -499,9 +500,50 @@ def test_the_program_composes_only_in_the_kernel(table, kernel_only):
     assert len(reports) == 13 and all(r.passed for r in reports)
 
 
+CLASS_CODES = np.array([kernel.form_code(f) for f in M.class_forms()])
+
+
 def test_form_codes_index_the_classes():
-    codes = np.array([kernel.form_code(f) for f in M.class_forms()])
+    codes = CLASS_CODES
     assert M.classes_of_codes(codes).tolist() == list(range(M.N_CLASSES))
     assert M.classes_of_codes(np.array([-1, codes[7]])).tolist() == [-1, 7]
-    with pytest.raises(KeyError):
-        M.classes_of_codes(np.append(codes, codes.max() + 1))
+    # codes that share a slot with a class's code, and others of no class
+    for stray in (codes[7] - M._SLOTS, codes[7] + M._SLOTS, codes.max() + 1, -2):
+        with pytest.raises(KeyError) as exc:
+            M.classes_of_codes(np.array([codes[3], -1, stray, codes.max() + 2]))
+        assert exc.value.args == (f"form code not on the surface: {stray}",)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(CLASS_CODES.tolist()),
+            st.just(-1),
+            st.integers(0, int(CLASS_CODES.max()) + M._SLOTS),
+        ),
+        max_size=40,
+    )
+)
+def test_class_lookup_matches_the_sorted_search(codes):
+    codes = np.array(codes, dtype=np.int64)
+    try:
+        want = oracles.classes_by_search(codes)
+    except KeyError as exc:
+        with pytest.raises(KeyError) as got:
+            M.classes_of_codes(codes)
+        assert str(got.value) == str(exc)
+    else:
+        assert M.classes_of_codes(codes).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("top", [2, 16, 38])
+def test_min_first_is_the_least_valuation_and_its_first_coordinate(top):
+    # valuations up to 2k = 38 at k = 19 (the diagonal's blocks at n = 38),
+    # few values (many ties), and columns all at the cap
+    rng = np.random.default_rng(top)
+    vals = rng.integers(0, top + 1, size=(4, 5000)).astype(np.int8)
+    vals[:, :4] = top
+    vmin, pivot = kernel._min_first(vals)
+    assert np.array_equal(vmin, vals.min(axis=0))
+    assert np.array_equal(pivot, np.argmax(vals == vals.min(axis=0), axis=0))
