@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from . import moufang, surface
-from .eisenstein import PrecisionExhausted, RingElt, nu, to_digits
+from .eisenstein import PrecisionExhausted, nu, to_digits
 from .moufang import (
     CheckReport,
     ClassTable,
@@ -33,7 +33,7 @@ from .moufang import (
     verify_suites,
     witness_sides,
 )
-from .parsing import ParseError, format_digits, parse_element, parse_point
+from .parsing import ParseError, format_digits, parse_point
 from .surface import (
     CanonicalForm,
     LambdaParams,

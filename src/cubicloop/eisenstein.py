@@ -5,9 +5,9 @@ The uniformizer is pi = 1 - theta; it satisfies pi^2 = -3*theta and
 3 = -theta^2 * pi^2, so the extension is totally ramified with nu(3) = 2.
 
 Elements carry no precision: the functions that truncate (`to_digits`,
-`reduce_mod`, `invert`, `div_exact`, `equal_mod`) take the number of
-pi-adic digits n explicitly, and the working precision of a computation
-lives on the points of `surface.ProjPoint`.
+`reduce_mod`, `invert`, `div_exact`) take the number of pi-adic digits n
+explicitly, and the working precision of a computation lives on the points
+of `surface.ProjPoint`.
 """
 
 from __future__ import annotations
@@ -218,7 +218,3 @@ def div_exact(x: RingElt, y: RingElt, n: int) -> RingElt:
     if n < 1:
         raise PrecisionExhausted("quotient retains no precision")
     return reduce_mod(num * invert(den, n), n)
-
-
-def equal_mod(x: RingElt, y: RingElt, n: int) -> bool:
-    return nu(x - y) >= n

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
@@ -341,27 +340,17 @@ def verify_cml(l: LoopTable) -> list[CheckReport]:
     return [CheckReport(name, cx is None, checks, cx) for name, checks, cx in laws]
 
 
-def element_orders(l: LoopTable) -> list[int]:
-    """Order of every element; asserted to be at most 6."""
-    orders = []
-    for x in range(N_CLASSES):
-        y = x
-        order = 1
-        while y != l.unit:
-            y = int(l.mul[y, x])
-            order += 1
-            if order > 6:
-                raise AssertionError(f"element {x} has order above 6")
-        orders.append(order)
-    return orders
-
-
 def exponent(l: LoopTable) -> int:
-    """Least e with x^e = unit for all x; asserted to divide 6."""
-    e = math.lcm(*element_orders(l))
-    if 6 % e != 0:
-        raise AssertionError(f"exponent {e} does not divide 6")
-    return e
+    """Least e with x^e = unit for all x, the powers x^e = x^(e-1) x of all
+    x stepped together; asserted to be at most 6 and to divide 6."""
+    power = ids = np.arange(N_CLASSES)
+    for e in range(1, 7):
+        if (power == l.unit).all():
+            if 6 % e != 0:
+                raise AssertionError(f"exponent {e} does not divide 6")
+            return e
+        power = l.mul[power, ids]
+    raise AssertionError("an element has order above 6")
 
 
 def _associator_sides(l: LoopTable):
@@ -392,7 +381,7 @@ def nucleus(l: LoopTable) -> set[int]:
         int(a) for a in np.flatnonzero(keep) if np.array_equal(v.take(ix[a], 0), v[a].take(ix))
     }
     # a subloop: closed under mul and inverses, contains the unit
-    if l.unit not in members or _closure(l.mul, members) != members:
+    if l.unit not in members or _closures(l.mul, [sorted(members)])[0].sum() != len(members):
         raise AssertionError("nucleus is not closed under multiplication")
     if not {int(l.inv[a]) for a in members} <= members:
         raise AssertionError("nucleus is not closed under inverses")
@@ -458,11 +447,6 @@ def _closures(op: np.ndarray, gens) -> np.ndarray:
         if np.array_equal(grown, member):
             return member
         member = grown
-
-
-def _closure(op: np.ndarray, gens: set[int]) -> set[int]:
-    """Closure of `gens` under the operation table `op`."""
-    return set(np.flatnonzero(_closures(op, [sorted(gens)])[0]).tolist())
 
 
 def _abelian_failures(circ: np.ndarray, member: np.ndarray) -> np.ndarray:
@@ -535,19 +519,6 @@ def eckhardt_check(samples: int, seed: int, n: int = DEFAULT_PRECISION) -> Check
         cx = (units[f // samples].family, int(classes[f]), tuple(seed_pairs[f].tolist()))
         return CheckReport("eckhardt swaps", False, f, cx)
     return CheckReport("eckhardt swaps", True, len(want))
-
-
-def subloop(l: LoopTable, gens: set[int]) -> set[int]:
-    """Closure of gens and the unit under mul.  It is closed under
-    inversion too: in a finite power-associative loop, as every CML is,
-    x^-1 is a positive power of x."""
-    closed = _closure(l.mul, set(gens) | {l.unit})
-    size = len(closed)
-    while size % 3 == 0:
-        size //= 3
-    if size != 1:
-        raise AssertionError(f"subloop size {len(closed)} is not a power of 3")
-    return closed
 
 
 # Named classes from the explicit non-associativity computation.

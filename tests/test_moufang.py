@@ -210,9 +210,19 @@ class TestLoop:
     def test_cml_identities(self, loop):
         assert all(report.passed for report in M.verify_cml(loop))
 
-    def test_exponent(self, loop):
-        assert M.exponent(loop) == 3
-        assert M.element_orders(loop).count(3) == M.N_CLASSES - 1
+    def test_exponent(self, table):
+        # with a unique unit, every other class has order 3
+        assert all(M.exponent(M.loop_from(table, u)) == 3 for u in range(M.N_CLASSES))
+
+    def test_exponent_refuses_an_order_above_6(self):
+        ids = np.arange(M.N_CLASSES)
+        cyclic = M.LoopTable((ids[:, None] + ids) % M.N_CLASSES, 0, -ids % M.N_CLASSES)
+        with pytest.raises(AssertionError):
+            M.exponent(cyclic)
+        # Z_3^5 on the base-3 digits of 0..242
+        digits, place = ids[:, None] // 3 ** np.arange(5) % 3, 3 ** np.arange(5)
+        elementary = M.LoopTable((digits[:, None] + digits) % 3 @ place, 0, -digits % 3 @ place)
+        assert M.exponent(elementary) == 3
 
     def test_nucleus(self, loop):
         members = M.nucleus(loop)
@@ -222,6 +232,21 @@ class TestLoop:
         while n % 3 == 0:
             n //= 3
         assert n == 1
+
+    def test_nucleus_cosets(self, loop):
+        # the cosets x N are 27 disjoint sets of 9 classes
+        members = sorted(M.nucleus(loop))
+        cosets = np.unique(np.sort(loop.mul[:, members], axis=1), axis=0)
+        assert cosets.shape == (27, 9)
+        assert len(np.unique(cosets)) == M.N_CLASSES
+
+    def test_associators(self, loop):
+        # ((xy)z)(x(yz))^-1 takes 3 values, which form a subloop with the unit
+        values = set()
+        for left, right in M._associator_sides(loop):
+            values.update(np.unique(loop.mul[left, loop.inv[right]]).tolist())
+        assert len(values) == 3 and loop.unit in values
+        assert oracle_closure(loop.mul, values) == values
 
     def test_witness(self, table, loop):
         triple, left, right = M.witness_sides(table, loop)
@@ -236,12 +261,13 @@ class TestLoop:
             assert mul[mul[x, y], z] != mul[x, mul[y, z]]
 
     def test_subloop_sizes(self, loop):
-        assert M.subloop(loop, set()) == {loop.unit}
-        single = M.subloop(loop, {5})
-        assert len(single) == 3
-        for gens, order in (({5, 9}, 9), ({66, 130, 124}, 81), ({1, 2, 3, 4}, 27)):
-            closed = M.subloop(loop, gens)
+        # the closures of the generators and the unit under the loop law
+        for gens, order in (((), 1), ((5,), 3), ((5, 9), 9), ((66, 130, 124), 81),
+                            ((1, 2, 3, 4), 27)):
+            member = M._closures(loop.mul, [[loop.unit, *gens]])[0]
+            closed = set(np.flatnonzero(member).tolist())
             assert len(closed) == order
+            assert closed == oracle_closure(loop.mul, {loop.unit, *gens})
             assert {int(loop.inv[x]) for x in closed} <= closed
 
     @pytest.mark.parametrize("n", [*range(6, 13), 24, 38, 39, 48, 60])

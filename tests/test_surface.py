@@ -13,7 +13,6 @@ from cubicloop.eisenstein import (
     ZERO,
     PrecisionExhausted,
     RingElt,
-    equal_mod,
     nu,
 )
 from cubicloop.surface import (
@@ -246,7 +245,7 @@ class TestLifting:
         lp = LambdaParams("R", 2, (1, 0, 0))
         a = random_lift(lp, 12, 99)
         b = random_lift(lp, 12, 99)
-        assert all(equal_mod(x, y, 12) for x, y in zip(a.coords, b.coords))
+        assert all(nu(x - y) >= 12 for x, y in zip(a.coords, b.coords))
 
 
 class TestEnumeration:
