@@ -119,7 +119,6 @@ ZERO = RingElt(0)
 ONE = RingElt(1)
 THETA = RingElt(0, 1)
 PI = RingElt(1, -1)  # the uniformizer 1 - theta
-THREE = RingElt(3)
 
 
 def _v3(n: int) -> int:

@@ -12,8 +12,8 @@ coordinate.  `chord_codes` runs `chord` followed by `normalize(r, 3,
 margin=3)` on many pairs of points at once and returns the code
 (`form_code`) of each canonical form.  A lift or cell whose result the
 residues cannot certify, or that the exact path would reject, is refused;
-`moufang.compose_cells` retries it once at MAX_LIFT_PRECISION (38), then
-raises PrecisionExhausted.
+`moufang.compose_cells` composes a refused cell again, by its retry rule,
+at max(n, MAX_LIFT_PRECISION) = max(n, 38).
 
 The chord kernel's modulus follows the precision.  With prec = min(n, 2K)
 it works mod 3^k for k = min(K, prec - 4) (`chord_exponent`), in int32
@@ -70,7 +70,6 @@ if any(
 # which keeps the temporaries of one block near 1 MB.
 BLOCK_BYTES = 8192
 
-_POW3 = 3 ** np.arange(K + 2, dtype=np.int64)
 # The chord's margin rule: normalize(r, 3, margin=3) needs prec - vmin >= 6.
 _DIGITS = 3
 _MARGIN = 3
@@ -147,15 +146,11 @@ def _nu(x, k: int = K) -> np.ndarray:
 
     With t = min(nu_3(a), nu_3(b), k), nu = 2t, plus 1 when a/3^t + b/3^t
     = 0 mod 3, that is a + b = 0 mod 3^(t+1) (the pair is then divisible by
-    pi but not by 3).  Where nu_3 is one lookup (k <= _LOW), that is read as
-    nu_3(a + b mod 3^k) > t for t < k (at t = k the cap hides it), else as
-    a division."""
+    pi but not by 3), read as nu_3(a + b mod 3^k) > t for t < k (at t = k
+    the cap hides it)."""
     a, b = x
     t = np.minimum(np.minimum(_v3(a, k), _v3(b, k)), k)
-    if k <= _LOW:
-        odd = _v3(_reduce(a + b, 3**k), k) > t
-    else:
-        odd = (a + b) % _POW3[t + 1] == 0
+    odd = _v3(_reduce(a + b, 3**k), k) > t
     return np.minimum(2 * t + odd, 2 * k)
 
 

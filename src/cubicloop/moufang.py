@@ -117,17 +117,19 @@ class CheckReport:
 
 
 def _seeds(seed_pair, attempt):
-    """Seeds of the two random lifts of attempt `attempt` from `seed_pair`,
-    in its dtype if `seed_pair` and `attempt` are arrays of one dtype."""
+    """Seeds of the two random lifts of attempt `attempt` (an int) from
+    `seed_pair`, in its dtype if `seed_pair` is an array."""
     s0, s1 = seed_pair
     return s0 + attempt, s1 + 1000003 * (attempt + 1)
 
 
-# Every composition composes at n.  Two identical random lifts are redrawn
-# at n with the next attempt's seeds, 16 (_REDRAWS) times at most.  Any other
-# refusal (PrecisionExhausted, PointsCoincide) is retried once at
-# kernel.MAX_LIFT_PRECISION (38) with the same seeds if n is below it, and
-# raised otherwise.  By admissibility n never changes a class, only the work.
+# Every composition composes at n.  A refused cell (the kernel's -1,
+# PrecisionExhausted, PointsCoincide) is composed again at max(n, 38)
+# (kernel.MAX_LIFT_PRECISION) on the next attempt's lifts: random lifts
+# from `_seeds(seed_pair, a)` for a = 1 .. _REDRAWS, and fixed
+# representatives, which have no other lifts, once if the starting n is
+# below 38.  The last refusal is raised.  By admissibility neither the
+# precision nor the lifts change a class, only the work.
 _REDRAWS = 16
 
 
@@ -135,28 +137,25 @@ def compose_classes(
     i: int, j: int, n: int = DEFAULT_PRECISION, seed_pair: tuple[int, int] | None = None
 ) -> int:
     """Class of the chord through representatives of classes i and j, on
-    the exact RingElt path at n, retried at 38 by the rule above: the tests'
+    the exact RingElt path at n, retried by the rule above: the tests'
     reference for `compose_cells`.  Equal classes (or an explicit seed pair)
     use two random lifts."""
     params = class_params()
     if seed_pair is None and i == j:
         seed_pair = (0, 1)
-    k = 0
-    while True:
+    last = _REDRAWS if seed_pair is not None else int(n < kernel.MAX_LIFT_PRECISION)
+    for a in range(last + 1):
         try:
             if seed_pair is None:
                 p, q = lift_representative(params[i], n), lift_representative(params[j], n)
             else:
-                s0, s1 = _seeds(seed_pair, k)
+                s0, s1 = _seeds(seed_pair, a)
                 p, q = random_lift(params[i], n, s0), random_lift(params[j], n, s1)
-            if p != q or k == _REDRAWS:
-                return class_of_form(normalize(chord(p, q)[0], 3, margin=3))
-            k += 1  # two identical random lifts: redraw at n
+            return class_of_form(normalize(chord(p, q)[0], 3, margin=3))
         except (PrecisionExhausted, PointsCoincide):
-            # the points agree to precision n; distinct points separate higher
-            if n >= kernel.MAX_LIFT_PRECISION:
+            if a == last:
                 raise
-            n = kernel.MAX_LIFT_PRECISION
+            n = max(n, kernel.MAX_LIFT_PRECISION)
 
 
 def compose_cells(
@@ -164,45 +163,35 @@ def compose_cells(
 ) -> np.ndarray:
     """Per cell k, the class `compose_classes(i[k], j[k], n, seed_pairs[k])`
     (fixed representatives when `seed_pairs` is None), composed by the
-    batched kernel at n and retried at 38 by the same rule.  A cell still
-    refused at 38 raises PrecisionExhausted, which names the first such
-    cell."""
+    batched kernel by the same rule, the cells of one attempt in one batch.
+    A cell still refused at the last attempt raises PrecisionExhausted,
+    which names the first such cell."""
     start, i, j = n, np.asarray(i), np.asarray(j)
     seeds = None if seed_pairs is None else np.asarray(seed_pairs)
     # fixed representatives: all cells, as a slice that copies no index array
     todo = np.s_[:] if seeds is None else np.arange(len(i))
     cells = np.full(len(i), -1)
-    attempts = None if seeds is None else np.zeros(len(i), seeds.dtype)
-    while True:
+    last = _REDRAWS if seeds is not None else int(n < kernel.MAX_LIFT_PRECISION)
+    for a in range(last + 1):
         if seeds is None:  # lifts indexed by class id
             classes, draws, p, q = np.arange(N_CLASSES), None, i[todo], j[todo]
         else:
             classes = np.concatenate([i[todo], j[todo]])
-            draws = np.concatenate(_seeds(seeds[todo].T, attempts[todo]))
+            draws = np.concatenate(_seeds(seeds[todo].T, a))
             p, q = np.arange(len(classes)).reshape(2, -1)
         pairs, lifted = kernel.lift_pairs(classes, draws, n)
         codes = np.where(lifted[p] & lifted[q], kernel.chord_codes(pairs, p, q, n), -1)
         cells[todo] = classes_of_codes(codes)  # masked first: a refused lift's code is no class's
-        if seeds is not None:
-            r = np.flatnonzero(codes < 0)
-            (a, b), pr, qr, t = pairs, p[r], q[r], todo[r]
-            same = (a[pr] == a[qr]).all(axis=1) & (b[pr] == b[qr]).all(axis=1)
-            if len(redraw := t[same & (attempts[t] < _REDRAWS)]):
-                # only these go again at n; the other refused cells wait at -1
-                todo = redraw
-                attempts[todo] += 1
-                continue
         todo = np.flatnonzero(cells < 0)
         if not len(todo):
             return cells
-        if n >= kernel.MAX_LIFT_PRECISION:
-            k = todo[0]
-            pair = None if seeds is None else tuple(seeds[k].tolist())
-            raise PrecisionExhausted(
-                f"cell ({i[k]}, {j[k]}) at n = {start} with seed pair {pair}: "
-                f"refused by the kernel up to precision {kernel.MAX_LIFT_PRECISION}"
-            )
-        n = kernel.MAX_LIFT_PRECISION
+        n = max(n, kernel.MAX_LIFT_PRECISION)
+    k = todo[0]
+    pair = None if seeds is None else tuple(seeds[k].tolist())
+    raise PrecisionExhausted(
+        f"cell ({i[k]}, {j[k]}) at n = {start} with seed pair {pair}: "
+        f"refused by the kernel up to precision {kernel.MAX_LIFT_PRECISION}"
+    )
 
 
 def build_class_table(

@@ -95,7 +95,10 @@ class _Parser:
 
 def parse_element(text: str) -> RingElt:
     parser = _Parser(_tokenize(text))
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except RecursionError:  # one recursion per nested parenthesis or sign
+        raise ParseError("expression nested too deeply") from None
     if parser.peek() is not None:
         raise ParseError(f"trailing input: {parser.tokens[parser.pos:]}")
     return value

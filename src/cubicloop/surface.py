@@ -1,6 +1,6 @@
 """Points on the cubic surface F = T0^3 + T1^3 + T2^3 + theta*T3^3 = 0.
 
-Chord/tangent geometry, Hensel lifting of the 243 canonical residue
+Chord geometry, Hensel lifting of the 243 canonical residue
 classes mod pi^3, and enumeration of the residue classes mod pi^n.
 """
 
@@ -45,10 +45,6 @@ class DegenerateLine(Exception):
     """Both chord coefficients vanish for distinct points: a k-line on V.
 
     The surface has no k-lines, so this signals a bug and is fatal."""
-
-
-class NotTangentDirection(Exception):
-    pass
 
 
 class HenselCriterionFailed(Exception):
@@ -184,23 +180,6 @@ def chord(p: ProjPoint, q: ProjPoint) -> tuple[ProjPoint, CompositionTrace]:
     vmin = min(_capped_nu(c, prec) for c in coords)
     margin = INFINITE if prec is None else prec - vmin - 3
     return out, CompositionTrace(a, b, margin)
-
-
-def tangent_section_point(p: ProjPoint, d: tuple[RingElt, ...]) -> ProjPoint:
-    """Third intersection of the tangent line at p in direction d."""
-    prec = p.prec
-    work = prec if prec is not None else DEFAULT_PRECISION
-    l1 = sum((c * pc * pc * di for c, pc, di in zip(FORM_COEFFS, p.coords, d)), ZERO)
-    if nu(l1) < work:
-        raise NotTangentDirection(f"nu(sum c_i p_i^2 d_i) = {nu(l1)} < {work}")
-    l2 = sum((c * pc * di * di for c, pc, di in zip(FORM_COEFFS, p.coords, d)), ZERO)
-    l3 = sum((c * di**3 for c, di in zip(FORM_COEFFS, d)), ZERO)
-    # t = 0 is a double root; the third root gives p' = l3*p - 3*l2*d.
-    if min(nu(l3), nu(l2) + 2) >= work - 3:
-        # line inside the tangent cone (Eckhardt degeneracy)
-        return p
-    coords = tuple(l3 * pc - 3 * l2 * di for pc, di in zip(p.coords, d))
-    return ProjPoint(coords, prec)
 
 
 def _clamp(x: RingElt, n: int) -> RingElt:

@@ -1,5 +1,6 @@
-"""Independent brute-force oracles for the residue-class enumeration, and
-reference versions of fast lookups.
+"""Independent brute-force oracles for the residue-class enumeration,
+reference versions of fast lookups, and the tangent-line geometry that the
+acceptance tests check.
 
 A canonical tuple mod pi^n (pivot coordinate exactly 1, earlier coordinates
 divisible by pi) is realized by a surface point iff some extension of its
@@ -16,8 +17,8 @@ import numpy as np
 
 import cubicloop.moufang as M
 from cubicloop import kernel
-from cubicloop.eisenstein import PI, THETA, DigitVector, RingElt, from_digits, nu
-from cubicloop.surface import CanonicalForm
+from cubicloop.eisenstein import PI, THETA, ZERO, DigitVector, RingElt, div_exact, from_digits, nu
+from cubicloop.surface import DEFAULT_PRECISION, FORM_COEFFS, CanonicalForm, ProjPoint
 
 
 def canonical_tuples(n: int):
@@ -89,9 +90,6 @@ def tangent_direction(p, rng):
     Fills three coordinates with small random elements and solves the
     tangent-plane equation sum c_i p_i^2 d_i = 0 for a coordinate whose
     plane coefficient is a unit."""
-    from cubicloop.eisenstein import ZERO, div_exact
-    from cubicloop.surface import FORM_COEFFS
-
     plane = [c * pc * pc for c, pc in zip(FORM_COEFFS, p.coords)]
     piv = next(i for i in range(4) if nu(plane[i]) == 0)
     d = [RingElt(rng.randrange(-1, 2), rng.randrange(-1, 2)) for _ in range(4)]
@@ -103,6 +101,27 @@ def tangent_direction(p, rng):
     work = p.prec if p.prec is not None else 12
     d[piv] = -div_exact(rest, plane[piv], work)
     return tuple(d)
+
+
+class NotTangentDirection(Exception):
+    pass
+
+
+def tangent_section_point(p: ProjPoint, d: tuple[RingElt, ...]) -> ProjPoint:
+    """Third intersection of the tangent line at p in direction d."""
+    prec = p.prec
+    work = prec if prec is not None else DEFAULT_PRECISION
+    l1 = sum((c * pc * pc * di for c, pc, di in zip(FORM_COEFFS, p.coords, d)), ZERO)
+    if nu(l1) < work:
+        raise NotTangentDirection(f"nu(sum c_i p_i^2 d_i) = {nu(l1)} < {work}")
+    l2 = sum((c * pc * di * di for c, pc, di in zip(FORM_COEFFS, p.coords, d)), ZERO)
+    l3 = sum((c * di**3 for c, di in zip(FORM_COEFFS, d)), ZERO)
+    # t = 0 is a double root; the third root gives p' = l3*p - 3*l2*d.
+    if min(nu(l3), nu(l2) + 2) >= work - 3:
+        # line inside the tangent cone (Eckhardt degeneracy)
+        return p
+    coords = tuple(l3 * pc - 3 * l2 * di for pc, di in zip(p.coords, d))
+    return ProjPoint(coords, prec)
 
 
 def check_on_surface(coords, min_valuation: int) -> bool:

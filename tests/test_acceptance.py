@@ -25,7 +25,6 @@ from cubicloop.surface import (
     chord,
     normalize,
     random_lift,
-    tangent_section_point,
 )
 
 
@@ -185,7 +184,7 @@ def _tangent_samples(rng, points, per_point):
         p = random_lift(lp, 12, rng.randrange(1 << 30))
         for _ in range(per_point):
             d = oracles.tangent_direction(p, rng)
-            if normalize(tangent_section_point(p, d), 3) != normalize(p, 3):
+            if normalize(oracles.tangent_section_point(p, d), 3) != normalize(p, 3):
                 return checked, False
             checked += 1
     return checked, True

@@ -72,6 +72,16 @@ class TestCompose:
         code, _, err = run(capsys, "compose", "--p", "1:x:0:0", "--q", "1:0:-1:0")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "literal", ["(" * 200 + "1" + ")" * 200, "-" * 1000 + "1"], ids=["200-parens", "1000-minus"]
+    )
+    def test_deeply_nested_literal_is_a_usage_error(self, capsys, literal):
+        # the --p= form, since argparse reads a separate value that starts
+        # with - as an option
+        code, out, err = run(capsys, "compose", f"--p={literal}:-1:0:0", "--q", "1:0:-1:0")
+        assert (code, out) == (2, "")
+        assert err == "error: expression nested too deeply\n"
+
     def test_coincident(self, capsys):
         code, _, err = run(capsys, "compose", "--p", "1:-1:0:0", "--q", "2:-2:0:0")
         assert code == 2 and "equal points" in err

@@ -11,7 +11,6 @@ from cubicloop.eisenstein import (
     ONE,
     PI,
     THETA,
-    THREE,
     ZERO,
     DigitVector,
     NonIntegralQuotient,
@@ -41,7 +40,7 @@ class TestRingIdentities:
         assert PI * PI == -3 * THETA
 
     def test_three_is_a_unit_times_pi_squared(self):
-        assert THREE == -(THETA**2) * PI**2
+        assert RingElt(3) == -(THETA**2) * PI**2
 
     @given(elements)
     def test_norm_is_product_with_conjugate(self, x):
@@ -58,7 +57,7 @@ class TestRingIdentities:
 
 class TestValuation:
     def test_ramification(self):
-        assert nu(THREE) == 2
+        assert nu(RingElt(3)) == 2
         assert nu(PI) == 1
         assert nu(ZERO) == INFINITE
 
@@ -145,7 +144,7 @@ class TestInversion:
 
 class TestDivision:
     def test_three_over_pi(self):
-        q = div_exact(THREE, PI, 8)
+        q = div_exact(RingElt(3), PI, 8)
         assert q == RingElt(2, 1)  # 2 + theta = -theta^2 * pi
 
     def test_valuation_shift(self):

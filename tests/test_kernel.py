@@ -177,8 +177,9 @@ def edge_pairs(k):
 @given(data=st.data())
 def test_nu_is_the_exact_valuation_capped_at_2k(data):
     # 2 and K bound the chord kernel's exponents; int32 holds k = 8 and 9,
-    # the largest, and int64 k = 10 and up; k = K is the lift kernel's
-    for k in (2, 8, 9, kernel.K):
+    # the largest, and int64 k = 10 and up; k = K is the lift kernel's; k = 10
+    # and 11 read nu_3 on either side of the split at _LOW = 10 digits
+    for k in (2, 8, 9, 10, 11, kernel.K):
         draws = data.draw(st.lists(st.tuples(residues(k), residues(k), st.booleans()), max_size=40))
         # the flag turns (a, b) into the odd case (a, -a): a + b*theta = a(1 - theta)
         pairs = edge_pairs(k) + [(a, -a if odd else b) for a, b, odd in draws]
@@ -256,13 +257,14 @@ def test_refused_lift_raises_naming_its_cell(table, monkeypatch):
     monkeypatch.setattr(kernel, "lift_pairs", refuse_some)
     with pytest.raises(PrecisionExhausted) as err:
         M.check_admissibility(table, 10, 7, 3)
-    # refused at 12 and once more at 38; the first such sample is named
+    # refused at 12, then on the lifts of each next attempt at 38; the first
+    # such sample is named
     i, j, _, pair = next(d for d in draws if {d[0], d[1]} & refused)
     assert str(err.value) == (
         f"cell ({i}, {j}) at n = 12 with seed pair {pair}: "
         f"refused by the kernel up to precision 38"
     )
-    assert rungs == [12, 38]
+    assert rungs == [12] + [38] * M._REDRAWS
 
 
 def test_same_class_samples_stay_in_the_kernel(table, monkeypatch, kernel_only):

@@ -81,8 +81,12 @@ class TestTable:
     @pytest.mark.parametrize("seed_pair", [None, (0, 1)])
     @pytest.mark.parametrize("n", [6, 12, 37, 38, 39, 60])
     def test_refused_cells_are_retried_once_at_38(self, monkeypatch, n, seed_pair):
-        # compose_classes and compose_cells try the same precisions, then raise
-        tried, tried_by_kernel = [], []
+        # compose_classes and compose_cells make the same attempts, then
+        # raise: random lifts at n, then _REDRAWS more at max(n, 38) on the
+        # seeds of the next attempts; fixed representatives once more at 38
+        # when n is below it, since they have no other lifts
+        tried, tried_by_kernel, drawn, drawn_by_kernel = [], [], [], []
+        random_lift, lift_pairs = M.random_lift, kernel.lift_pairs
 
         def refuse(p, q):
             tried.append(p.prec)
@@ -92,13 +96,29 @@ class TestTable:
             tried_by_kernel.append(prec)
             return np.full(len(i), -1)
 
+        def draw(lp, n, seed):
+            drawn.append(seed)
+            return random_lift(lp, n, seed)
+
+        def draw_batch(classes, seeds, n):
+            drawn_by_kernel.extend([] if seeds is None else [int(s) for s in seeds])
+            return lift_pairs(classes, seeds, n)
+
         monkeypatch.setattr(M, "chord", refuse)
+        monkeypatch.setattr(M, "random_lift", draw)
         monkeypatch.setattr(kernel, "chord_codes", refuse_all)
+        monkeypatch.setattr(kernel, "lift_pairs", draw_batch)
         with pytest.raises(PrecisionExhausted):
             M.compose_classes(3, 7, n, seed_pair)
-        with pytest.raises(PrecisionExhausted):
+        with pytest.raises(PrecisionExhausted, match=rf"^cell \(3, 7\) at n = {n} "):
             M.compose_cells([3], [7], n, None if seed_pair is None else [seed_pair])
-        assert tried == tried_by_kernel == ([n, 38] if n < 38 else [n])
+        if seed_pair is None:
+            rungs, seeds = [n, 38] if n < 38 else [n], []
+        else:
+            rungs = [n] + [max(n, 38)] * M._REDRAWS
+            seeds = [s for a in range(M._REDRAWS + 1) for s in M._seeds(seed_pair, a)]
+        assert tried == tried_by_kernel == rungs
+        assert drawn == drawn_by_kernel == seeds
 
     def test_points_coincide_at_the_top_rung_is_raised(self, monkeypatch):
         lifts = []
@@ -118,7 +138,9 @@ class TestTable:
         # 60 is above 38, the kernel's full precision: no retry, and none lower
         assert lifts == [60, 60]
 
-    def test_identical_lifts_redraw_at_the_same_rung(self, monkeypatch):
+    def test_identical_lifts_are_composed_again_at_38(self, monkeypatch):
+        # two identical lifts are refused like any other pair: the next
+        # attempt's lifts are drawn at max(24, 38)
         draws = []
         random_lift = M.random_lift
         first = M._seeds((0, 1), 0)
@@ -130,7 +152,7 @@ class TestTable:
 
         monkeypatch.setattr(M, "random_lift", same_first)
         assert M.compose_classes(5, 5, 24, (0, 1)) == 5
-        assert draws == [(24, s) for s in (*first, *M._seeds((0, 1), 1))]
+        assert draws == [(24, s) for s in first] + [(38, s) for s in M._seeds((0, 1), 1)]
 
     @pytest.mark.parametrize(
         "pair",
@@ -148,7 +170,8 @@ class TestTable:
 
         monkeypatch.setattr(kernel, "lift_pairs", same_first)
         assert M.compose_cells([5], [5], 24, pair).tolist() == [5]
-        assert [(c, n) for c, _, n in batches] == [([5, 5], 24)] * 2
+        # refused at 24, composed again at 38 on the next attempt's seeds
+        assert [(c, n) for c, _, n in batches] == [([5, 5], 24), ([5, 5], 38)]
         redrawn = batches[1][1]
         # in the seeds' dtype, so that a sum that wraps is the same key mod 2^64
         assert redrawn.dtype == pair.dtype

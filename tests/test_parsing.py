@@ -26,7 +26,12 @@ class TestParseElement:
         assert parse_element("1+2*p^2") == ONE + 2 * PI**2
         assert parse_element("-p^2") == -(PI**2)
 
-    @pytest.mark.parametrize("bad", ["", "1+", "x", "p^", "p^-1", "(1", "1)2"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "1+", "x", "p^", "p^-1", "(1", "1)2",
+         pytest.param("(" * 200 + "1" + ")" * 200, id="200-parens"),
+         pytest.param("-" * 1000 + "1", id="1000-minus")],
+    )
     def test_rejects(self, bad):
         with pytest.raises(ParseError):
             parse_element(bad)
