@@ -15,14 +15,16 @@ residues cannot certify, or that the exact path would reject, is refused;
 `moufang.compose_cells` composes a refused cell again, by its retry rule,
 at max(n, MAX_LIFT_PRECISION) = max(n, 38).
 
-The chord kernel's modulus follows the precision.  With prec = min(n, 2K)
-it works mod 3^k for k = min(K, prec - 4) (`chord_exponent`), in int32
-while 4(3^k - 1)^2 < 2^31 - 3^k, that is for k <= 9 (prec <= 13), and in
-int64 above (`residue_dtype`).  This is exact: the normalize guard accepts
-only vmin <= prec - 6 = k - 2, so dividing by pi^vmin still leaves the
-residue mod 9, and 2k >= prec - 3 lets the chord guard min(nu(A), nu(B))
-< prec - 3 be read exactly, so every code and every refusal is the one the
-computation mod 3^K gives.
+The chord kernel's modulus follows the precision: it works mod 3^k for
+k = min(K, prec - 4) (`chord_exponent`), in int32 while 4(3^k - 1)^2 <
+2^31 - 3^k, that is for k <= 9 (prec <= 13), and in int64 above
+(`residue_dtype`).  It accepts a cell exactly when vmin <= k - 2, so
+dividing by pi^vmin still leaves the residue mod 9.  This one rule implies
+the exact path's two guards: an accepted vmin < 2k is read exactly, and
+R = B*p - A*q has integral p and q, so min(nu(A), nu(B)) <= vmin <= k - 2
+<= prec - 6, which passes the chord guard (< prec - 3) and normalize's
+margin rule (prec - vmin >= 3 + 3).  So every code and every refusal is
+the one the computation mod 3^K gives.
 """
 
 from __future__ import annotations
@@ -70,9 +72,8 @@ if any(
 # which keeps the temporaries of one block near 1 MB.
 BLOCK_BYTES = 8192
 
-# The chord's margin rule: normalize(r, 3, margin=3) needs prec - vmin >= 6.
+# The digits of each coordinate in a canonical form mod pi^3.
 _DIGITS = 3
-_MARGIN = 3
 
 
 def _reduce(x, mod: int = MOD):
@@ -152,14 +153,6 @@ def _nu(x, k: int = K) -> np.ndarray:
     t = np.minimum(np.minimum(_v3(a, k), _v3(b, k)), k)
     odd = _v3(_reduce(a + b, 3**k), k) > t
     return np.minimum(2 * t + odd, 2 * k)
-
-
-def _divisible(x, e: int) -> np.ndarray:
-    """Whether pi^e divides each residue pair mod 3^k, for e <= 2k: with
-    3 = unit * pi^2, when 3^floor(e/2) divides a and 3^ceil(e/2) divides
-    a + b (as in `_nu`)."""
-    a, b = x
-    return (_reduce(a, 3 ** (e // 2)) == 0) & (_reduce(a + b, 3 ** -(-e // 2)) == 0)
 
 
 def _digit_code(d: DigitVector) -> int:
@@ -288,28 +281,24 @@ def lift_pairs(
 
 def chord_exponent(prec: int) -> int:
     """The k of the modulus 3^k that `chord_codes` works mod at precision
-    `prec` >= 6: min(K, min(prec, 2K) - 4)."""
-    return min(K, min(prec, 2 * K) - 4)
+    `prec`: min(K, prec - 4)."""
+    return min(K, prec - 4)
 
 
 def chord_codes(
     pairs: tuple[np.ndarray, np.ndarray], i: np.ndarray, j: np.ndarray, prec: int
 ) -> np.ndarray:
     """`form_code` of normalize(chord(p_i, p_j), 3, margin=3) for every cell
-    (i[k], j[k]) of points of precision `prec`, or -1 where a guard fails.
-
-    The guards are the exact path's, at the effective precision
-    min(prec, 2K), plus one of the residues' own: a cell is refused when
-    min(nu(A), nu(B)) >= prec - 3 (chord), when prec - vmin < 3 + 3
-    (normalize), or when dividing by pi^vmin would leave less than the
-    mod-pi^4 residue (vmin > k - 2).  The lifts' residues mod 3^K are
-    reduced mod 3^k, k = `chord_exponent(prec)` (see the module docstring)."""
-    prec = min(prec, 2 * K)
+    (i[k], j[k]) of points of precision `prec`, or -1 where the cell is
+    refused: where vmin > k - 2 for k = `chord_exponent(prec)`, which is
+    exactly where the exact path's guards refuse it or dividing by pi^vmin
+    would leave less than the mod-pi^4 residue (see the module docstring).
+    The lifts' residues mod 3^K are reduced mod 3^k."""
     i, j = np.asarray(i), np.asarray(j)
     out = np.full(len(i), -1, dtype=np.int64)
-    if prec < _DIGITS + _MARGIN:
-        return out  # the margin rule refuses every cell
     k = chord_exponent(prec)
+    if k < 2:
+        return out  # below precision 6 no vmin <= k - 2 exists
     # coordinate-major, so that sums and minima over the four coordinates
     # run over rows
     coords = tuple(
@@ -318,7 +307,7 @@ def chord_codes(
     block = BLOCK_BYTES // coords[0].itemsize
     for start in range(0, len(i), block):
         sl = slice(start, start + block)
-        out[sl] = _block_codes(coords, i[sl], j[sl], prec, k)
+        out[sl] = _block_codes(coords, i[sl], j[sl], k)
     return out
 
 
@@ -329,7 +318,7 @@ def _min_first(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return key >> 2, (key & 3).astype(np.intp)
 
 
-def _block_codes(coords, i, j, prec: int, k: int) -> np.ndarray:
+def _block_codes(coords, i, j, k: int) -> np.ndarray:
     """`chord_codes` of one block, on residues mod 3^k of shape (4, m)."""
     mod = 3**k
     p = coords[0].take(i, axis=1), coords[1].take(i, axis=1)
@@ -345,13 +334,7 @@ def _block_codes(coords, i, j, prec: int, k: int) -> np.ndarray:
     r = _reduce(bp[0] - aq[0], mod), _reduce(bp[1] - aq[1], mod)
     vals = _nu(r, k)
     vmin, pivot = _min_first(vals)
-    # The chord guard min(nu(A), nu(B)) < prec - 3 <= 2k, read as one
-    # divisibility.  With integral coordinates vmin >= min(nu(A), nu(B)), so
-    # the normalize guard implies the chord guard; both are kept, as on the
-    # exact path.  An accepted vmin <= k - 2 < 2k is read exactly.
-    ok = ~(_divisible(A, prec - 3) & _divisible(B, prec - 3)) & (
-        vmin <= min(prec - _DIGITS - _MARGIN, k - 2)
-    )
+    ok = vmin <= k - 2
     v = np.where(ok, vmin, 0)
     # Every coordinate divided by pi^v, mod 9: known mod pi^(2k - v), and
     # 2k - v >= k + 2 >= 4.

@@ -138,11 +138,8 @@ def compose_classes(
 ) -> int:
     """Class of the chord through representatives of classes i and j, on
     the exact RingElt path at n, retried by the rule above: the tests'
-    reference for `compose_cells`.  Equal classes (or an explicit seed pair)
-    use two random lifts."""
+    reference for `compose_cells`."""
     params = class_params()
-    if seed_pair is None and i == j:
-        seed_pair = (0, 1)
     last = _REDRAWS if seed_pair is not None else int(n < kernel.MAX_LIFT_PRECISION)
     for a in range(last + 1):
         try:

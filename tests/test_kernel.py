@@ -1,6 +1,7 @@
 """The batched lift (mod 3^K) and chord (mod 3^k) kernels against the exact
 RingElt path."""
 
+import itertools
 import random
 
 import numpy as np
@@ -18,6 +19,7 @@ from cubicloop.surface import (
     PointsCoincide,
     ProjPoint,
     _draw,
+    canonical_form,
     chord,
     eval_form,
     lift_representative,
@@ -187,9 +189,6 @@ def test_nu_is_the_exact_valuation_capped_at_2k(data):
         a, b = (np.array([x[c] % 3**k for x in pairs], dtype=dtype) for c in (0, 1))
         exact = [nu(RingElt(int(x), int(y))) for x, y in zip(a, b)]
         assert kernel._nu((a, b), k).tolist() == [min(v, 2 * k) for v in exact]
-        # the chord guard's divisibility test, at every exponent it can read
-        for e in range(2 * k + 1):
-            assert kernel._divisible((a, b), e).tolist() == [v >= e for v in exact]
 
 
 def test_every_chord_exponent_fits_its_dtype(monkeypatch):
@@ -204,19 +203,20 @@ def test_every_chord_exponent_fits_its_dtype(monkeypatch):
     # int32 up to precision 13 (k = 9), int64 from 14 (k = 10)
     block_codes, seen = kernel._block_codes, []
 
-    def recorded(coords, i, j, prec, k):
-        seen.append((prec, k, coords[0].dtype))
-        return block_codes(coords, i, j, prec, k)
+    def recorded(coords, i, j, k):
+        seen.append((k, coords[0].dtype))
+        return block_codes(coords, i, j, k)
 
     monkeypatch.setattr(kernel, "_block_codes", recorded)
     pairs, _ = kernel.lift_pairs([0, 100], None, 12)
     for prec in (6, 12, 13, 14, 24, 60):
         kernel.chord_codes(pairs, [0], [1], prec)
     assert seen == [
-        (6, 2, np.int32), (12, 8, np.int32), (13, 9, np.int32), (14, 10, np.int64),
-        (24, kernel.K, np.int64), (2 * kernel.K, kernel.K, np.int64),
+        (2, np.int32), (8, np.int32), (9, np.int32), (10, np.int64),
+        (kernel.K, np.int64), (kernel.K, np.int64),
     ]
-    # below precision 6 the margin rule refuses every cell, uncomputed
+    # below precision 6 (k < 2) no vmin <= k - 2 exists: every cell is
+    # refused, uncomputed
     assert kernel.chord_codes(pairs, [0, 1], [1, 0], 5).tolist() == [-1, -1]
     assert len(seen) == 6
 
@@ -336,22 +336,42 @@ def test_random_lifts_match_compose_classes(i, j, s0, s1, n):
     assert cells.tolist() == [exact]
 
 
-def test_guards_refuse_exactly_what_the_exact_path_refuses():
-    # at precision 7 about one cell in nine fails normalize's margin rule
-    reps = [lift_representative(lp, 7) for lp in M.class_params()]
+def chord_raises(p, q):
+    try:
+        chord(p, q)
+    except PrecisionExhausted:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_guards_refuse_exactly_what_the_exact_path_refuses(n):
+    params = M.class_params()
+    reps = [lift_representative(lp, n) for lp in params]
     rng = random.Random(7)
     cells = [tuple(rng.sample(range(M.N_CLASSES), 2)) for _ in range(1500)]
-    i, j = zip(*cells)
-    got = kernel_classes(reps, i, j, 7)
-    want = [exact_class(reps[a], reps[b]) for a, b in cells]
-    assert 100 < want.count(None) < 400
+    # and every cell whose exact chord raises: its points agree mod pi
+    # (`chord` raises PrecisionExhausted only then), and it is refused by
+    # vmin <= k - 2 alone, with no test of the chord's coefficients
+    mod_pi = [canonical_form(lp).truncate(1) for lp in params]
+    near = [
+        (a, b)
+        for a, b in itertools.combinations(range(M.N_CLASSES), 2)
+        if mod_pi[a] == mod_pi[b] and chord_raises(reps[a], reps[b])
+    ]
+    assert len(near) == {6: 972, 7: 972, 8: 243}[n]
+    i, j = zip(*cells, *near)
+    got = kernel_classes(reps, i, j, n)
+    want = [exact_class(reps[a], reps[b]) for a, b in zip(i, j)]
+    if n == 7:  # about one cell in nine of the sample fails normalize's margin rule
+        assert 100 < want[: len(cells)].count(None) < 400
     assert got.tolist() == [-1 if w is None else w for w in want]
 
 
 def python_int_code(p, q, prec):
     """The cell's `form_code` on the exact path, whose RingElt arithmetic is
-    on Python ints and never reduced, or -1 where it or the kernel's own
-    guard (vmin <= k - 2) refuses."""
+    on Python ints and never reduced, or -1 where it refuses or where the
+    kernel's rule vmin <= k - 2 fails; the first implies the second."""
     try:
         r, _ = chord(p, q)
         form = normalize(r, 3, margin=3)

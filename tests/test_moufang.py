@@ -78,6 +78,13 @@ class TestTable:
         # threshold pi^3; only a higher precision separates them
         assert M.compose_classes(5, 5, 6, seed_pair=(0, 1)) == 5
 
+    def test_fixed_representatives_refuse_a_same_class_cell(self):
+        # a class has one fixed representative, and a chord needs two points
+        with pytest.raises(M.PointsCoincide):
+            M.compose_classes(5, 5, 12)
+        with pytest.raises(PrecisionExhausted, match=r"^cell \(5, 5\) at n = 12 "):
+            M.compose_cells([5], [5], 12)
+
     @pytest.mark.parametrize("seed_pair", [None, (0, 1)])
     @pytest.mark.parametrize("n", [6, 12, 37, 38, 39, 60])
     def test_refused_cells_are_retried_once_at_38(self, monkeypatch, n, seed_pair):
