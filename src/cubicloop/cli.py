@@ -125,15 +125,15 @@ def _build(cfg: Config) -> tuple[ClassTable, LoopTable]:
     return table, loop_from(table, named_class(moufang.U0))
 
 
-# Zero-padded JSON of class k in a table: "k," (row k), "k],[" in the last column (243 + k)
-_TOKENS = np.array([f"{k}{e}" for e in (",", "],[") for k in range(moufang.N_CLASSES)], "S6")
+# Zero-padded JSON of class k in a table: "k," inside a row, "k],[" at its end
+_INNER = np.array([f"{k}," for k in range(moufang.N_CLASSES)], "S4")
+_LAST = np.array([f"{k}],[" for k in range(moufang.N_CLASSES)], "S6")
 
 
 def _ids_json(table: np.ndarray) -> bytes:
-    """`table` as a JSON array of rows: one gather of tokens, padding masked out."""
-    index = table.astype(np.intp)
-    index[:, -1] += moufang.N_CLASSES
-    text = _TOKENS.take(index).view(np.uint8)
+    """`table` as a JSON array of rows: gathered tokens, padding masked out."""
+    inner, last = _INNER.take(table[:, :-1]), _LAST.take(table[:, -1:])
+    text = np.hstack((inner.view(np.uint8), last.view(np.uint8)))
     return b"[[" + text[text != 0].tobytes()[:-2] + b"]"
 
 

@@ -295,12 +295,15 @@ def verify_cml(l: LoopTable) -> list[CheckReport]:
     A failed report's counterexample is the law's first failing (x, y, z),
     cut to the variables the law has.
 
-    The two n^3 laws run in one loop over x and share one table per x,
-    F = M[:, L_x] (F[a, z] = a(xz), L_x the row of x), built as a row
-    gather of the contiguous transpose of M, transposed back: (xy)(xz) is
-    F's rows gathered by L_x, and y(xz) is F itself, so neither law gathers
-    a column or compares a transposed view.  F is an exact rearrangement of
-    M, and no law assumes commutativity."""
+    The two n^3 laws run in one loop over x with two tables per x:
+    F = M[:, L_x] (F[a, z] = a(xz), L_x the row of x; a row gather of the
+    transposed M, transposed back) and T = L_{x^2}(M) (T[y, z] = x^2(yz)),
+    the one value lookup.  Law 5 reads F[L_x] = T.  Where x^2(xa) = a for
+    all a (checked at each x), L_{x^2} inverts the bijection L_x, and
+    applying it to both sides of law 6 keeps its truth at every (y, z):
+    law 6 reads F = T[L_{x^2}].  At any other x it is compared as written;
+    Moufang loops have this left inverse property, so only a broken table
+    gets there.  No law assumes commutativity."""
     m, unit, n = l.mul, l.unit, N_CLASSES
     v, ix = _gather_views(m)
     v_t = np.ascontiguousarray(v.T)
@@ -309,9 +312,12 @@ def verify_cml(l: LoopTable) -> list[CheckReport]:
     law5 = law6 = None  # the first failing (x, y, z) of each n^3 law
     for x in range(n):
         f = np.ascontiguousarray(v_t.take(ix[x], 0).T)
+        t = v[sq[x]].take(ix)
         if law5 is None:
-            law5 = _mismatch(f.take(ix[x], 0), v[sq[x]].take(ix), x)
-        if law6 is None:
+            law5 = _mismatch(f.take(ix[x], 0), t, x)
+        if law6 is None and np.array_equal(ix[sq[x]].take(ix[x]), ids):
+            law6 = _mismatch(f, t.take(ix[sq[x]], 0), x)
+        elif law6 is None:
             law6 = _mismatch(v[x].take(f), v.take(ix[sq[x]], 0), x)
         if law5 is not None and law6 is not None:
             break

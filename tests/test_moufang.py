@@ -240,6 +240,11 @@ class TestLoop:
     def test_cml_identities(self, loop):
         assert all(report.passed for report in M.verify_cml(loop))
 
+    def test_left_inverse_property(self, table):
+        # so verify_cml compares law 6 through the inverse at every x
+        for u in range(M.N_CLASSES):
+            assert left_inverse_rows(M.loop_from(table, u).mul).all(), u
+
     def test_exponent(self, table):
         # with a unique unit, every other class has order 3
         assert all(M.exponent(M.loop_from(table, u)) == 3 for u in range(M.N_CLASSES))
@@ -346,14 +351,32 @@ def corrupted_loops(table, loop):
     unit_row[loop.unit, 7] = unit_row[loop.unit, 8]
     inv3 = loop.inv[3]
     cell[3, inv3] = (cell[3, inv3] + 1) % M.N_CLASSES
+    # two entries of row 0 swapped: the row stays a permutation, but the
+    # row of 0^2 no longer inverts it, and law 6 read through that row as
+    # an inverse would fail first at (0, 0, 1), not at (0, 0, 14); and the
+    # same swap undone in the row of 0^2, so that every row of x^2 still
+    # inverts the row of x
+    row, rows = loop.mul.copy(), loop.mul.copy()
+    row[0, [1, 14]] = rows[0, [1, 14]] = loop.mul[0, [14, 1]]
+    sq0, hit = loop.mul[0, 0], loop.mul[0, [1, 14]]
+    rows[sq0, hit] = loop.mul[sq0, hit[::-1]]
     return {
         name: M.LoopTable(mul, loop.unit, loop.inv)
         for name, mul in (
             ("symmetric", circ[loop.unit][circ]),
             ("unit-row", unit_row),
             ("inverse-cell", cell),
+            ("swapped-row", row),
+            ("swapped-rows", rows),
         )
     }
+
+
+def left_inverse_rows(mul):
+    """Per x, whether x^2(xy) = y for every y: the rows of x and x^2 are
+    inverse permutations."""
+    ids = np.arange(M.N_CLASSES)
+    return (mul[mul[ids, ids][:, None], mul] == ids).all(axis=1)
 
 
 # The int16 fancy-index formulas the L4 checks used before their uint8
@@ -466,7 +489,11 @@ def outcome(fn, *args):
 
 class TestFastL4MatchesOracle:
     @pytest.mark.parametrize(
-        "case", ["U0", "unit-100", "unit-0", "unit-242", "symmetric", "unit-row", "inverse-cell"]
+        "case",
+        [
+            "U0", "unit-100", "unit-0", "unit-242",
+            "symmetric", "unit-row", "inverse-cell", "swapped-row", "swapped-rows",
+        ],
     )
     def test_checks_equal_the_oracle(self, table, loop, case):
         # the benchmark's verify workload cycles through every unit
@@ -479,6 +506,16 @@ class TestFastL4MatchesOracle:
         assert outcome(M.nucleus, l) == outcome(oracle_nucleus, l)
         for limit in (0, 1, 10):
             assert M.find_nonassoc(l, limit) == oracle_nonassoc(l, limit)
+
+    def test_corruptions_reach_both_law6_comparisons(self, table, loop):
+        # verify_cml compares law 6 as written only at an x whose row of x^2
+        # does not invert its row; each comparison decides one law-6 report
+        loops = corrupted_loops(table, loop)
+        row, rows = loops["swapped-row"], loops["swapped-rows"]
+        assert not left_inverse_rows(row.mul)[0]
+        assert oracle_cml(row)[-1][3][0] == 0
+        assert left_inverse_rows(rows.mul).all()
+        assert not oracle_cml(rows)[-1][1]
 
     def test_nucleus_checks_every_survivor_of_its_screen(self, loop):
         # one cell of row 6 changed: each member of the intact nucleus 9-17
