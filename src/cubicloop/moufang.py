@@ -492,25 +492,16 @@ def eckhardt_swaps() -> np.ndarray:
     ])
 
 
-def eckhardt_check(samples: int, seed: int, n: int = DEFAULT_PRECISION) -> CheckReport:
-    """For each family's unit class U0, U1, U2 and `samples` other classes c,
-    random lifts of U and of c compose into c with two coordinates swapped
-    (`eckhardt_swaps`), mod pi^3; all 3 * `samples` cells in one
-    `compose_cells` call from n.  The counterexample is (family, class, seed
-    pair) of the first failing sample."""
+def eckhardt_check(t: ClassTable) -> CheckReport:
+    """Rows U0, U1 and U2 of the table equal `eckhardt_swaps` on all
+    3 * 243 cells: for an Eckhardt point U, x -> U o x swaps two
+    coordinates.  The counterexample is (family, class) of the first
+    failing cell in row order."""
     units = (U0, U1, U2)
-    unit = np.array([named_class(lp) for lp in units]).repeat(samples)
-    k = np.tile(np.arange(samples), len(units))
-    # every class but the unit, as an offset from it
-    classes = (unit + 1 + _draw(N_CLASSES - 1, 3, seed, unit, k, 0)) % N_CLASSES
-    seed_pairs = _draw(1 << 30, 3, seed, unit[:, None], k[:, None], [1, 2])
-    want = eckhardt_swaps()[np.arange(len(units)).repeat(samples), classes]
-    bad = np.flatnonzero(compose_cells(unit, classes, n, seed_pairs) != want)
-    if len(bad):
-        f = int(bad[0])
-        cx = (units[f // samples].family, int(classes[f]), tuple(seed_pairs[f].tolist()))
-        return CheckReport("eckhardt swaps", False, f, cx)
-    return CheckReport("eckhardt swaps", True, len(want))
+    rows = t.circ[[named_class(lp) for lp in units]]
+    bad = _mismatch(rows, eckhardt_swaps())
+    cx = None if bad is None else (units[bad[0]].family, bad[1])
+    return CheckReport("eckhardt swaps", bad is None, rows.size, cx)
 
 
 # Named classes from the explicit non-associativity computation.
@@ -549,8 +540,8 @@ def witness_sides(t: ClassTable, l: LoopTable) -> tuple[tuple[int, int, int], in
 def verify_suites(t: ClassTable, unit: int, seed: int) -> list[CheckReport]:
     """The reports of every check, in order, up to the first failed one: the
     quasigroup, the CML laws of the loop with `unit`, admissibility (50 cells),
-    the named witness, CH (200 triples), Eckhardt (50 lifts per family), and
-    the paper's exponent 3 and nucleus of order 9, whose detail gives
+    the named witness, CH (200 triples), the Eckhardt swaps (the unit rows),
+    and the paper's exponent 3 and nucleus of order 9, whose detail gives
     `exponent=.. |nucleus|=.. witnesses=..` (non-associative triples)."""
     reports = []
     for report in _suite_reports(t, unit, seed):
@@ -574,7 +565,7 @@ def _suite_reports(t: ClassTable, unit: int, seed: int):
     triple, left, right = witness_sides(t, l)
     yield CheckReport("non-associative witness", left != right, 1, triple)
     yield ch_check(t, 200, seed)
-    yield eckhardt_check(50, seed, t.precision)
+    yield eckhardt_check(t)
     e, order = exponent(l), len(nucleus(l))
     # counted one x at a time: the whole associator_mask is 14 MB
     witnesses = sum(int(np.count_nonzero(left != right)) for left, right in _associator_sides(l))

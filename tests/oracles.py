@@ -1,6 +1,6 @@
 """Independent brute-force oracles for the residue-class enumeration,
-reference versions of fast lookups, and the tangent-line geometry that the
-acceptance tests check.
+reference versions of fast lookups, and the tangent-line geometry and
+Eckhardt lift samples that the acceptance tests check.
 
 A canonical tuple mod pi^n (pivot coordinate exactly 1, earlier coordinates
 divisible by pi) is realized by a surface point iff some extension of its
@@ -18,7 +18,7 @@ import numpy as np
 import cubicloop.moufang as M
 from cubicloop import kernel
 from cubicloop.eisenstein import PI, THETA, ZERO, DigitVector, RingElt, div_exact, from_digits, nu
-from cubicloop.surface import DEFAULT_PRECISION, FORM_COEFFS, CanonicalForm, ProjPoint
+from cubicloop.surface import DEFAULT_PRECISION, FORM_COEFFS, CanonicalForm, ProjPoint, _draw
 
 
 def canonical_tuples(n: int):
@@ -142,3 +142,18 @@ def classes_by_search(codes: np.ndarray) -> np.ndarray:
     if missing.any():
         raise KeyError(f"form code not on the surface: {codes[np.argmax(missing)]}")
     return np.where(codes >= 0, order[pos], -1)
+
+
+def eckhardt_lift_samples(samples: int, seed: int, n: int = DEFAULT_PRECISION):
+    """The Eckhardt swaps on random lifts: for each unit class U0, U1, U2
+    and `samples` other classes c, random lifts of U and of c compose into
+    c with two coordinates swapped, mod pi^3.  The classes and seed pairs
+    are drawn with key 3.  Returns the 3 * `samples` classes composed in
+    one `compose_cells` call from n, and the classes `eckhardt_swaps` gives."""
+    unit = np.array([M.named_class(lp) for lp in (M.U0, M.U1, M.U2)]).repeat(samples)
+    k = np.tile(np.arange(samples), 3)
+    # every class but the unit, as an offset from it
+    classes = (unit + 1 + _draw(M.N_CLASSES - 1, 3, seed, unit, k, 0)) % M.N_CLASSES
+    seed_pairs = _draw(1 << 30, 3, seed, unit[:, None], k[:, None], [1, 2])
+    want = M.eckhardt_swaps()[np.arange(3).repeat(samples), classes]
+    return M.compose_cells(unit, classes, n, seed_pairs), want

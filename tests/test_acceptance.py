@@ -230,13 +230,15 @@ def _case3_samples(rng, samples):
     return checked, True
 
 
-def test_criterion_8_geometry_properties(capsys):
+def test_criterion_8_geometry_properties(capsys, table):
     t0 = time.monotonic()
     rng = random.Random("acceptance-geometry")
-    eck = M.eckhardt_check(500, seed=0)
+    got, want = oracles.eckhardt_lift_samples(500, seed=0)
+    matched = int(np.count_nonzero(got == want))
+    eck = M.eckhardt_check(table)
     tan_n, tan_ok = _tangent_samples(rng, points=20, per_point=5)
     c3_n, c3_ok = _case3_samples(rng, samples=34)
-    ok = eck.passed and eck.checks == 1500
+    ok = matched == len(got) == 1500 and eck.passed and eck.checks == 729
     ok = ok and tan_ok and c3_ok and tan_n >= 100 and c3_n >= 100
     elapsed = time.monotonic() - t0
     failure = "" if eck.passed else f" (fails at {eck.counterexample})"
@@ -245,8 +247,8 @@ def test_criterion_8_geometry_properties(capsys):
         8,
         ok,
         elapsed,
-        f"Eckhardt swaps {eck.checks}{failure}, tangent contractions {tan_n}, "
-        f"near-pair contractions {c3_n}",
+        f"Eckhardt swaps on {matched} of {len(got)} lift samples and {eck.checks} "
+        f"table cells{failure}, tangent contractions {tan_n}, near-pair contractions {c3_n}",
     )
 
 
