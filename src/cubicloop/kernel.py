@@ -7,24 +7,26 @@ the element mod pi^(2k), so any valuation below 2k is read exactly and a
 residue pair of zeros means "valuation at least 2k".
 
 `lift_pairs` runs `lift_representative` or `random_lift` on many classes
-at once, mod 3^K, taking the exact path's Newton step on the Hensel
-coordinate.  `chord_codes` runs `chord` followed by `normalize(r, 3,
-margin=3)` on many pairs of points at once and returns the code
-(`form_code`) of each canonical form.  A lift or cell whose result the
-residues cannot certify, or that the exact path would reject, is refused;
-`moufang.compose_cells` composes a refused cell again, by its retry rule,
-at max(n, MAX_LIFT_PRECISION) = max(n, 38).
+at once, taking the exact path's Newton step on the Hensel coordinate.
+`chord_codes` runs `chord` followed by `normalize(r, 3, margin=3)` on many
+pairs of points at once and returns the code (`form_code`) of each
+canonical form.  A lift or cell whose result the residues cannot certify,
+or that the exact path would reject, is refused; `moufang.compose_cells`
+composes a refused cell again, by its retry rule, at
+max(n, MAX_LIFT_PRECISION) = max(n, 38).
 
-The chord kernel's modulus follows the precision: it works mod 3^k for
-k = min(K, prec - 4) (`chord_exponent`), in int32 while 4(3^k - 1)^2 <
-2^31 - 3^k, that is for k <= 9 (prec <= 13), and in int64 above
-(`residue_dtype`).  It accepts a cell exactly when vmin <= k - 2, so
-dividing by pi^vmin still leaves the residue mod 9.  This one rule implies
-the exact path's two guards: an accepted vmin < 2k is read exactly, and
-R = B*p - A*q has integral p and q, so min(nu(A), nu(B)) <= vmin <= k - 2
-<= prec - 6, which passes the chord guard (< prec - 3) and normalize's
-margin rule (prec - vmin >= 3 + 3).  So every code and every refusal is
-the one the computation mod 3^K gives.
+Both stages' moduli follow the precision n, in int32 while 4(3^k - 1)^2 <
+2^31 - 3^k, that is for k <= 9, and in int64 above (`residue_dtype`).  The
+lift works mod 3^k for k = min(K, max(n - 3, 3)) (`lift_exponent`), where
+its residues are exact mod 3^(k-1) (see `lift_pairs`); the chord reads
+them mod 3^k for k = min(K, n - 4) (`chord_exponent`).  At the default
+n = 12 both run in int32.  The chord kernel accepts a cell exactly when
+vmin <= k - 2, so dividing by pi^vmin still leaves the residue mod 9.  This
+one rule implies the exact path's two guards: an accepted vmin < 2k is
+read exactly, and R = B*p - A*q has integral p and q, so min(nu(A), nu(B))
+<= vmin <= k - 2 <= prec - 6, which passes the chord guard (< prec - 3)
+and normalize's margin rule (prec - vmin >= 3 + 3).  So every code and
+every refusal is the one the computation mod 3^K gives.
 """
 
 from __future__ import annotations
@@ -62,7 +64,14 @@ def residue_dtype(k: int) -> type[np.signedinteger]:
 # [0, (3^k - 1)c] when c >= d and in [-b(d - c), ad] when c < d.
 # `_block_codes` sums four such products (A, B), or takes the difference of
 # two (R), before it reduces, and `_reduce` needs its argument above the
-# dtype's minimum + 3^k.  At k = 20 a single product would overflow int64.
+# dtype's minimum + 3^k.  The lift reduces every product before it adds:
+# its largest unreduced intermediates are single products, at most
+# (3^k - 1)^2 from 0, such as N * y and y(2 - Ny) in `_unit_inverse` (2 - Ny
+# is reduced first) and the norm N = a^2 - ab + b^2 <= max(a, b)^2, whose
+# partial sum a(a - b) is at least -(3^k - 1)^2 / 4; x^2 * x + rest adds two
+# reduced residues, rest three, and a bump two products of a digit in -1..1
+# and a residue.  So 4(3^k - 1)^2 bounds both stages.  At k = 20 a single
+# product would overflow int64.
 if any(
     4 * (3**k - 1) ** 2 >= np.iinfo(residue_dtype(k)).max + 1 - 3**k for k in range(2, K + 1)
 ):
@@ -76,7 +85,7 @@ BLOCK_BYTES = 8192
 _DIGITS = 3
 
 
-def _reduce(x, mod: int = MOD):
+def _reduce(x, mod: int):
     """x mod `mod`, as `x % mod`, for x above its dtype's minimum + mod.
     numpy divides an integer array by a scalar with a multiply and a shift,
     but runs `%` as a hardware division, about five times slower."""
@@ -91,29 +100,31 @@ def _prod(x, y):
     return a * c - bd, a * d + b * c - bd
 
 
-def _mul(x, y, mod: int = MOD):
+def _mul(x, y, mod: int):
     ra, rb = _prod(x, y)
     return _reduce(ra, mod), _reduce(rb, mod)
 
 
-def _add(x, y):
-    return _reduce(x[0] + y[0]), _reduce(x[1] + y[1])
+def _add(x, y, mod: int):
+    return _reduce(x[0] + y[0], mod), _reduce(x[1] + y[1], mod)
 
 
-def _times_theta(x, mod: int = MOD):
+def _times_theta(x, mod: int):
     a, b = x
     return _reduce(-b, mod), _reduce(a - b, mod)
 
 
-def _unit_inverse(x):
-    """Inverse of units a + b*theta: conj(x) / N(x), with 1/N by the integer
-    Newton step y <- y(2 - N*y), which doubles the correct digits of y."""
+def _unit_inverse(x, k: int):
+    """Inverse mod 3^k of units a + b*theta: conj(x) / N(x), with 1/N by the
+    integer Newton step y <- y(2 - N*y), which doubles the correct digits of
+    y: from one digit, (k - 1).bit_length() steps reach k."""
+    mod = 3**k
     a, b = x
-    norm = _reduce(a * a - a * b + b * b)
+    norm = _reduce(a * a - a * b + b * b, mod)
     y = _reduce(norm, 3)  # N = +-1 mod 3 is its own inverse mod 3
-    for _ in range((K - 1).bit_length()):
-        y = _reduce(y * _reduce(2 - norm * y))
-    return _reduce((a - b) * y), _reduce(-b * y)
+    for _ in range((k - 1).bit_length()):
+        y = _reduce(y * _reduce(2 - norm * y, mod), mod)
+    return _reduce((a - b) * y, mod), _reduce(-b * y, mod)
 
 
 # Residues below 3^K <= 3^(2 * _LOW) split into a low and a high part of
@@ -142,7 +153,7 @@ def _v3(x: np.ndarray, k: int) -> np.ndarray:
     return np.where(low == _LOW, _LOW + _LOW_V3.take(x // 3**_LOW), low)
 
 
-def _nu(x, k: int = K) -> np.ndarray:
+def _nu(x, k: int) -> np.ndarray:
     """pi-adic valuation of residue pairs mod 3^k, capped at 2k.
 
     With t = min(nu_3(a), nu_3(b), k), nu = 2t, plus 1 when a/3^t + b/3^t
@@ -209,12 +220,12 @@ def to_pairs(points: Sequence[ProjPoint]) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-# The lift guard reads nu(F) on the residues, which fix F mod pi^(2K): below
-# 2K exactly, and as "at least 2K" from a pair of zeros.  So it certifies
-# nu(F) >= min(n, 2K).
+# The lift guard reads nu(F) on residues mod 3^k, k = `lift_exponent(n)`,
+# which fix F mod pi^(2k): below 2k exactly, and as "at least 2k" from a pair
+# of zeros.  Since 2k >= min(n, 2K), it certifies nu(F) >= min(n, 2K).
 MAX_LIFT_PRECISION = 2 * K
 # The class's own tuple has nu(F) >= HENSEL_CRITERION = 5, and a Newton
-# step takes nu(F) = v to at least min(2v - 2, 2K): 5, 8, 14, 26, 50.  Four
+# step takes nu(F) = v to at least min(2v - 2, 2k): 5, 8, 14, 26, 50.  Four
 # steps reach 2K.
 _NEWTON_STEPS = 4
 
@@ -231,50 +242,76 @@ def _class_data():
     return a, b, hensel, free, bumps
 
 
+def lift_exponent(n: int) -> int:
+    """The k of the modulus 3^k that `lift_pairs` works mod at precision
+    `n`: min(K, max(n - 3, 3))."""
+    return min(K, max(n - 3, 3))
+
+
 def lift_pairs(
     classes: Sequence[int], seeds: Sequence[int] | None, n: int
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Residue pairs (a, b), each of shape (m, 4), of `random_lift(lp, n,
-    seed)` for each class and seed, or of `lift_representative(lp, n)` when
-    `seeds` is None; and the mask of the lifts the residues certify.
+    """Residue pairs (a, b) mod 3^k, k = `lift_exponent(n)`, each of shape
+    (m, 4) and dtype `residue_dtype(k)`, of `random_lift(lp, n, seed)` for
+    each class and seed, or of `lift_representative(lp, n)` when `seeds` is
+    None; and the mask of the lifts the residues certify.
 
-    The free coordinates are the exact path's, from the same digits.  With
-    t = min(n, MAX_LIFT_PRECISION), the Hensel coordinate x agrees with the
-    exact path's mod pi^(t - 2), where the root is unique.  A lift is refused
-    when the class tuple fails the Hensel criterion, or when Newton's method
-    leaves nu(F) < t."""
-    base_a, base_b, hensel, free, (pi3, pi4) = _class_data()
+    The free coordinates are the exact path's mod 3^k, from the same digits.
+    With t = min(n, MAX_LIFT_PRECISION), the Hensel coordinate x agrees with
+    the exact path's mod pi^(t - 2), where the root is unique.  A lift is
+    refused when the class tuple fails the Hensel criterion, or when Newton's
+    method leaves nu(F) < t.
+
+    Working mod 3^k rather than 3^K changes no chord code and no refusal:
+    - The iterates agree mod 3^(k-1) with those of the same steps mod 3^K.
+      Two iterates that differ by e = 0 mod 3^(k-1) give values of F that
+      differ by 3x^2 e + 3x e^2 + e^3 = 0 mod 3^k, so F / 3, the Newton
+      correction and the next iterate agree mod 3^(k-1).  The start points
+      agree, since the class tuple and the bumps reduce exactly.
+    - The chord at n reads coordinates mod 3^min(K, n - 4)
+      (`chord_exponent`).  Below n = 22, k - 1 = max(n - 4, 2), so it reads
+      the same integers; from n = 22 on, k = K and the lift is the one mod
+      3^K.
+    - F agrees mod 3^k, so nu(F) agrees below 2k.  The guard nu(F) >= t is
+      read since 2k >= t (2k = 2n - 6 >= n from n = 6; below, 2k = 6), and
+      the Hensel criterion nu(F) >= 5 since 2k >= 6.  So the mask is the
+      same."""
+    base_a, base_b, hensel, free, bumps = _class_data()
+    k = lift_exponent(n)
+    mod, dtype = 3**k, residue_dtype(k)
     classes = np.asarray(classes, dtype=np.int64)
     m = len(classes)
-    a, b = base_a[classes], base_b[classes]
+    a, b = (_reduce(x[classes], mod).astype(dtype) for x in (base_a, base_b))
     t = min(n, MAX_LIFT_PRECISION)
     rows = np.arange(m)
     if seeds is not None:
-        digits = lift_digits(classes, n, seeds).reshape(m, 2, 4)
-        for k in range(2):
-            d = digits[:, k]
-            bump = _add(_mul((d[:, 0], d[:, 1]), pi3), _mul((d[:, 2], d[:, 3]), pi4))
-            cols = free[classes, k]
-            a[rows, cols], b[rows, cols] = _add((a[rows, cols], b[rows, cols]), bump)
+        # the pi^3 and pi^4 bumps of both free coordinates at once
+        d = lift_digits(classes, n, seeds).astype(dtype).reshape(m, 2, 4)
+        pi3, pi4 = (tuple(c % mod for c in x) for x in bumps)
+        bump = _add(
+            _mul((d[..., 0], d[..., 1]), pi3, mod), _mul((d[..., 2], d[..., 3]), pi4, mod), mod
+        )
+        at = rows[:, None], free[classes]
+        a[at], b[at] = _add((a[at], b[at]), bump, mod)
     # F = x^3 + rest with x the Hensel coordinate (index 1 or 2, whose
     # form coefficient is 1) and rest the sum of c_j t_j^3 over the others.
     h = hensel[classes]
-    ca, cb = _mul(_mul((a, b), (a, b)), (a, b))
-    ca[:, 3], cb[:, 3] = _times_theta((ca[:, 3], cb[:, 3]))
+    ca, cb = _mul(_mul((a, b), (a, b), mod), (a, b), mod)
+    ca[:, 3], cb[:, 3] = _times_theta((ca[:, 3], cb[:, 3]), mod)
     ca[rows, h] = cb[rows, h] = 0
-    rest = _reduce(ca.sum(axis=1)), _reduce(cb.sum(axis=1))
+    rest = _reduce(ca.sum(axis=1, dtype=dtype), mod), _reduce(cb.sum(axis=1, dtype=dtype), mod)
     x = a[rows, h], b[rows, h]
     for step in range(_NEWTON_STEPS + 1):
-        x2 = _mul(x, x)
-        f = _add(_mul(x2, x), rest)
-        v = _nu(f)
+        x2 = _mul(x, x, mod)
+        f = _add(_mul(x2, x, mod), rest, mod)
+        v = _nu(f, k)
         if step == 0:
             criterion = v >= HENSEL_CRITERION
         if step == _NEWTON_STEPS or np.all(v >= t):
             break
-        # x <- x - F / (3 x^2); nu(F) >= 2 makes F / 3 exact, known mod 3^(K-1).
-        dx = _mul((f[0] // 3, f[1] // 3), _unit_inverse(x2))
-        x = _reduce(x[0] - dx[0]), _reduce(x[1] - dx[1])
+        # x <- x - F / (3 x^2); nu(F) >= 2 makes F / 3 exact, known mod 3^(k-1).
+        dx = _mul((f[0] // 3, f[1] // 3), _unit_inverse(x2, k), mod)
+        x = _reduce(x[0] - dx[0], mod), _reduce(x[1] - dx[1], mod)
     a[rows, h], b[rows, h] = x
     return (a, b), criterion & (v >= t)
 
@@ -293,7 +330,8 @@ def chord_codes(
     refused: where vmin > k - 2 for k = `chord_exponent(prec)`, which is
     exactly where the exact path's guards refuse it or dividing by pi^vmin
     would leave less than the mod-pi^4 residue (see the module docstring).
-    The lifts' residues mod 3^K are reduced mod 3^k."""
+    The residues, exact mod 3^k at least (as `lift_pairs` gives them at
+    `prec`), are reduced mod 3^k in `residue_dtype(k)`."""
     i, j = np.asarray(i), np.asarray(j)
     out = np.full(len(i), -1, dtype=np.int64)
     k = chord_exponent(prec)

@@ -1,6 +1,7 @@
 """Independent brute-force oracles for the residue-class enumeration,
-reference versions of fast lookups, and the tangent-line geometry and
-Eckhardt lift samples that the acceptance tests check.
+reference versions of fast lookups and of the batched lift mod 3^19, and
+the tangent-line geometry and Eckhardt lift samples that the acceptance
+tests check.
 
 A canonical tuple mod pi^n (pivot coordinate exactly 1, earlier coordinates
 divisible by pi) is realized by a surface point iff some extension of its
@@ -18,7 +19,15 @@ import numpy as np
 import cubicloop.moufang as M
 from cubicloop import kernel
 from cubicloop.eisenstein import PI, THETA, ZERO, DigitVector, RingElt, div_exact, from_digits, nu
-from cubicloop.surface import DEFAULT_PRECISION, FORM_COEFFS, CanonicalForm, ProjPoint, _draw
+from cubicloop.surface import (
+    DEFAULT_PRECISION,
+    FORM_COEFFS,
+    HENSEL_CRITERION,
+    CanonicalForm,
+    ProjPoint,
+    _draw,
+    lift_digits,
+)
 
 
 def canonical_tuples(n: int):
@@ -157,3 +166,45 @@ def eckhardt_lift_samples(samples: int, seed: int, n: int = DEFAULT_PRECISION):
     seed_pairs = _draw(1 << 30, 3, seed, unit[:, None], k[:, None], [1, 2])
     want = M.eckhardt_swaps()[np.arange(3).repeat(samples), classes]
     return M.compose_cells(unit, classes, n, seed_pairs), want
+
+
+def oracle_lift_pairs(classes, seeds, n):
+    """`kernel.lift_pairs` with every step mod 3^K = 3^19 in int64, at
+    every n: the residue pairs and the mask.  It takes the same Newton steps
+    on the Hensel coordinate, inverting 3x^2 in five integer Newton steps."""
+    mod = kernel.MOD
+    base_a, base_b, hensel, free, (pi3, pi4) = kernel._class_data()
+    classes = np.asarray(classes, dtype=np.int64)
+    m = len(classes)
+    a, b = base_a[classes], base_b[classes]
+    t = min(n, kernel.MAX_LIFT_PRECISION)
+    rows = np.arange(m)
+    if seeds is not None:
+        digits = lift_digits(classes, n, seeds).reshape(m, 2, 4)
+        for k in range(2):
+            d = digits[:, k]
+            bump = kernel._add(
+                kernel._mul((d[:, 0], d[:, 1]), pi3, mod),
+                kernel._mul((d[:, 2], d[:, 3]), pi4, mod),
+                mod,
+            )
+            cols = free[classes, k]
+            a[rows, cols], b[rows, cols] = kernel._add((a[rows, cols], b[rows, cols]), bump, mod)
+    h = hensel[classes]
+    ca, cb = kernel._mul(kernel._mul((a, b), (a, b), mod), (a, b), mod)
+    ca[:, 3], cb[:, 3] = kernel._times_theta((ca[:, 3], cb[:, 3]), mod)
+    ca[rows, h] = cb[rows, h] = 0
+    rest = kernel._reduce(ca.sum(axis=1), mod), kernel._reduce(cb.sum(axis=1), mod)
+    x = a[rows, h], b[rows, h]
+    for step in range(kernel._NEWTON_STEPS + 1):
+        x2 = kernel._mul(x, x, mod)
+        f = kernel._add(kernel._mul(x2, x, mod), rest, mod)
+        v = kernel._nu(f, kernel.K)
+        if step == 0:
+            criterion = v >= HENSEL_CRITERION
+        if step == kernel._NEWTON_STEPS or np.all(v >= t):
+            break
+        dx = kernel._mul((f[0] // 3, f[1] // 3), kernel._unit_inverse(x2, kernel.K), mod)
+        x = kernel._reduce(x[0] - dx[0], mod), kernel._reduce(x[1] - dx[1], mod)
+    a[rows, h], b[rows, h] = x
+    return (a, b), criterion & (v >= t)

@@ -1,5 +1,5 @@
-"""The batched lift (mod 3^K) and chord (mod 3^k) kernels against the exact
-RingElt path."""
+"""The batched lift and chord kernels, each mod 3^k for its own k, against
+the exact RingElt path and the lift mod 3^K."""
 
 import itertools
 import random
@@ -51,9 +51,9 @@ def kernel_classes(points, i, j, prec):
 
 def check_lifts(classes, seeds, n):
     """The batched lifts certify every point, carry the exact path's free
-    coordinates, and, with t = min(n, 2K), agree with its Hensel coordinate
-    mod pi^(t - 2), where the root is unique, and have nu(F) >= t on the
-    exact path."""
+    coordinates mod 3^k, k = `lift_exponent(n)`, and, with t = min(n, 2K),
+    agree with its Hensel coordinate mod pi^(t - 2), where the root is
+    unique, and have nu(F) >= t on the exact path."""
     pairs, ok = kernel.lift_pairs(classes, seeds, n)
     assert ok.all()
     params = M.class_params()
@@ -62,11 +62,12 @@ def check_lifts(classes, seeds, n):
     else:
         exact = [random_lift(params[c], n, s) for c, s in zip(classes, seeds)]
     want = kernel.to_pairs(exact)
+    mod = 3 ** kernel.lift_exponent(n)
     t = min(n, kernel.MAX_LIFT_PRECISION)
     for k, (c, p, e) in enumerate(zip(classes, to_points(pairs, n), exact)):
         h = HENSEL_INDEX[params[c].family]
         for x in (0, 1):
-            assert np.delete(pairs[x][k], h).tolist() == np.delete(want[x][k], h).tolist()
+            assert np.delete(pairs[x][k], h).tolist() == (np.delete(want[x][k], h) % mod).tolist()
         assert nu(p.coords[h] - e.coords[h]) >= t - 2
         assert nu(eval_form(p)) >= t
 
@@ -99,6 +100,23 @@ def test_lifts_above_the_bound_are_certified_to_it():
         assert lifted.all()
         assert all(np.array_equal(x, y) for x, y in zip(pairs, top))
         assert kernel.lift_pairs([0, 100, 200], [1, 2, 3], above)[1].all()
+
+
+@pytest.mark.parametrize("n", range(6, 49))
+def test_lifts_give_the_codes_of_the_lift_mod_3_19(n):
+    # the 243 representatives and three seed sets: the residues agree mod
+    # 3^(k-1) with the lift mod 3^K, the masks are equal, and the chord
+    # codes are equal in all 243 x 243 cells
+    classes = np.arange(M.N_CLASSES)
+    mod = 3 ** (kernel.lift_exponent(n) - 1)
+    i, j = (x.ravel() for x in np.indices((M.N_CLASSES, M.N_CLASSES)))
+    for seeds in (None, *(classes + 1000 * seed for seed in (0, 1, 977))):
+        pairs, ok = kernel.lift_pairs(classes, seeds, n)
+        want, want_ok = oracles.oracle_lift_pairs(classes, seeds, n)
+        assert all(np.array_equal(x % mod, y % mod) for x, y in zip(pairs, want))
+        assert np.array_equal(ok, want_ok)
+        codes = kernel.chord_codes(pairs, i, j, n)
+        assert np.array_equal(codes, kernel.chord_codes(want, i, j, n))
 
 
 @pytest.fixture
@@ -152,12 +170,21 @@ def test_lifts_short_of_n_after_newton_are_refused(monkeypatch):
 
 
 def test_unit_inverse():
+    # every modulus the lift uses, in its dtype (int32 up to k = 9), on
+    # random units and on the residues nearest 3^k, where products are largest
     rng = np.random.default_rng(0)
-    a, b = rng.integers(0, kernel.MOD, 1000), rng.integers(0, kernel.MOD, 1000)
-    units = (a + b) % 3 != 0
-    x = a[units], b[units]
-    one_a, one_b = kernel._mul(x, kernel._unit_inverse(x))
-    assert (one_a == 1).all() and (one_b == 0).all()
+    for k in range(3, kernel.K + 1):
+        mod, dtype = 3**k, kernel.residue_dtype(k)
+        top = mod - np.arange(1, 7)
+        a = np.concatenate([rng.integers(0, mod, 1000), top, top])
+        b = np.concatenate([rng.integers(0, mod, 1000), top, np.roll(top, 1)])
+        units = (a + b) % 3 != 0
+        x = a[units].astype(dtype), b[units].astype(dtype)
+        inverse = kernel._unit_inverse(x, k)
+        assert all(y.dtype == dtype and (0 <= y).all() and (y < mod).all() for y in inverse)
+        for xa, xb, ya, yb in zip(*x, *inverse):
+            one = RingElt(int(xa), int(xb)) * RingElt(int(ya), int(yb))
+            assert (one.a % mod, one.b % mod) == (1, 0)
 
 
 def residues(k):
@@ -178,10 +205,10 @@ def edge_pairs(k):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_nu_is_the_exact_valuation_capped_at_2k(data):
-    # 2 and K bound the chord kernel's exponents; int32 holds k = 8 and 9,
-    # the largest, and int64 k = 10 and up; k = K is the lift kernel's; k = 10
+    # 2 and K bound the chord kernel's exponents, 3 and K the lift kernel's;
+    # int32 holds k = 8 and 9, the largest, and int64 k = 10 and up; k = 10
     # and 11 read nu_3 on either side of the split at _LOW = 10 digits
-    for k in (2, 8, 9, 10, 11, kernel.K):
+    for k in (2, 3, 8, 9, 10, 11, kernel.K):
         draws = data.draw(st.lists(st.tuples(residues(k), residues(k), st.booleans()), max_size=40))
         # the flag turns (a, b) into the odd case (a, -a): a + b*theta = a(1 - theta)
         pairs = edge_pairs(k) + [(a, -a if odd else b) for a, b, odd in draws]
@@ -192,10 +219,13 @@ def test_nu_is_the_exact_valuation_capped_at_2k(data):
 
 
 def test_every_chord_exponent_fits_its_dtype(monkeypatch):
-    # every exponent the rule picks from precision 6 up, with its overflow
-    # bound: four products of residues summed, above the dtype's minimum + 3^k
-    exponents = {kernel.chord_exponent(prec) for prec in range(6, 3 * kernel.MAX_LIFT_PRECISION)}
+    # every exponent the rules pick, the chord's from precision 6 up and the
+    # lift's from 1, with its overflow bound: four products of residues
+    # summed, above the dtype's minimum + 3^k
+    precisions = range(1, 3 * kernel.MAX_LIFT_PRECISION)
+    exponents = {kernel.chord_exponent(prec) for prec in precisions if prec >= 6}
     assert exponents == set(range(2, kernel.K + 1))
+    assert {kernel.lift_exponent(n) for n in precisions} == set(range(3, kernel.K + 1))
     for k in exponents:
         dtype = kernel.residue_dtype(k)
         assert 4 * (3**k - 1) ** 2 < np.iinfo(dtype).max + 1 - 3**k
@@ -208,7 +238,9 @@ def test_every_chord_exponent_fits_its_dtype(monkeypatch):
         return block_codes(coords, i, j, k)
 
     monkeypatch.setattr(kernel, "_block_codes", recorded)
+    # the lift at the default precision 12 works mod 3^9, in int32
     pairs, _ = kernel.lift_pairs([0, 100], None, 12)
+    assert pairs[0].dtype == pairs[1].dtype == np.int32
     for prec in (6, 12, 13, 14, 24, 60):
         kernel.chord_codes(pairs, [0], [1], prec)
     assert seen == [
