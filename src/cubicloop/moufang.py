@@ -279,14 +279,34 @@ def loop_from(t: ClassTable, unit: int) -> LoopTable:
     return LoopTable(t.circ[unit][t.circ], unit, t.circ[:, t.circ[unit, unit]])
 
 
-def _gather_views(mul: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`mul` as uint8 values and as intp indices, so that `take` gathers
-    bytes and converts no index.  ValueError names the first cell that is
-    no class id: a negative one would index from the end, and one above 255
-    would wrap in the cast."""
+def _gather_views(mul: np.ndarray) -> tuple[np.ndarray, np.ndarray, bytearray]:
+    """`mul` as uint8 values, as intp indices and as the bytes of its values.
+    The row gathers `take` rows or columns of the uint8 values through the
+    intp indices, so that they move bytes and convert no index; the value
+    lookups apply one row to every cell with `_lookup` on the bytes.
+    ValueError names the first cell that is no class id: a negative one
+    would index from the end, one above 242 would read the padding of
+    `_lookup`'s table, and one above 255 would wrap in the cast."""
     if (cell := _stray_cell(mul)) is not None:
         raise ValueError(f"loop table cell {cell} is {mul[cell]}, not a class id")
-    return mul.astype(np.uint8), mul.astype(np.intp)
+    v = mul.astype(np.uint8)
+    return v, mul.astype(np.intp), bytearray(v)
+
+
+# A class id fits in a byte, so a row of a loop table padded to 256 bytes
+# is a translation table.  `bytearray.translate` copies through it about
+# twice as fast as `take` gathers through intp indices; `bytes.translate`
+# is not faster than `take`, as it also tracks whether any byte changed.
+# The padding is no class id, so that a cell that escaped `_gather_views`
+# could not be read as one.
+_PAD = bytes([255]) * (256 - N_CLASSES)
+
+
+def _lookup(row: np.ndarray, cells: bytearray) -> np.ndarray:
+    """The 243x243 uint8 array row[cells]: the uint8 row of a loop table
+    applied to each class id of `cells`, in row order."""
+    values = cells.translate(row.tobytes() + _PAD)
+    return np.frombuffer(values, np.uint8).reshape(N_CLASSES, N_CLASSES)
 
 
 def verify_cml(l: LoopTable) -> list[CheckReport]:
@@ -297,27 +317,28 @@ def verify_cml(l: LoopTable) -> list[CheckReport]:
     The two n^3 laws run in one loop over x with two tables per x:
     F = M[:, L_x] (F[a, z] = a(xz), L_x the row of x; a row gather of the
     transposed M, transposed back) and T = L_{x^2}(M) (T[y, z] = x^2(yz)),
-    the one value lookup.  Law 5 reads F[L_x] = T.  Where x^2(xa) = a for
-    all a (checked at each x), L_{x^2} inverts the bijection L_x, and
-    applying it to both sides of law 6 keeps its truth at every (y, z):
-    law 6 reads F = T[L_{x^2}].  At any other x it is compared as written;
-    Moufang loops have this left inverse property, so only a broken table
-    gets there.  No law assumes commutativity."""
+    the one value lookup, by `_lookup`; the rest are row gathers.  Law 5
+    reads F[L_x] = T.  Where x^2(xa) = a for all a (checked at each x),
+    L_{x^2} inverts the bijection L_x, and applying it to both sides of
+    law 6 keeps its truth at every (y, z): law 6 reads F = T[L_{x^2}].  At
+    any other x it is compared as written, with L_x applied to F by
+    `_lookup`; Moufang loops have this left inverse property, so only a
+    broken table gets there.  No law assumes commutativity."""
     m, unit, n = l.mul, l.unit, N_CLASSES
-    v, ix = _gather_views(m)
+    v, ix, cells = _gather_views(m)
     v_t = np.ascontiguousarray(v.T)
     ids = np.arange(n)
     sq = ix[ids, ids]
     law5 = law6 = None  # the first failing (x, y, z) of each n^3 law
     for x in range(n):
         f = np.ascontiguousarray(v_t.take(ix[x], 0).T)
-        t = v[sq[x]].take(ix)
+        t = _lookup(v[sq[x]], cells)
         if law5 is None:
             law5 = _mismatch(f.take(ix[x], 0), t, x)
         if law6 is None and np.array_equal(ix[sq[x]].take(ix[x]), ids):
             law6 = _mismatch(f, t.take(ix[sq[x]], 0), x)
         elif law6 is None:
-            law6 = _mismatch(v[x].take(f), v.take(ix[sq[x]], 0), x)
+            law6 = _mismatch(_lookup(v[x], bytearray(f)), v.take(ix[sq[x]], 0), x)
         if law5 is not None and law6 is not None:
             break
     laws = [
@@ -343,10 +364,12 @@ def exponent(l: LoopTable) -> int:
 
 
 def _associator_sides(l: LoopTable):
-    """((xy)z, x(yz)) as 243x243 arrays indexed [y, z], for each x in turn."""
-    v, ix = _gather_views(l.mul)
+    """((xy)z, x(yz)) as 243x243 arrays indexed [y, z], for each x in turn:
+    a gather of the rows L_x of M, and the row of x applied to every cell
+    of M by `_lookup`."""
+    v, ix, cells = _gather_views(l.mul)
     for x in range(N_CLASSES):
-        yield v.take(ix[x], 0), v[x].take(ix)
+        yield v.take(ix[x], 0), _lookup(v[x], cells)
 
 
 # Rows x at which `nucleus` screens its candidates.  Each keeps the
@@ -360,15 +383,18 @@ def nucleus(l: LoopTable) -> set[int]:
     """Associative center: a with (a x) y = a (x y) for all x, y.  The
     candidates that fail at one of the `_SCREEN_ROWS` x are dropped first,
     all a at once in one gather per row, and every survivor is checked at
-    all x and y, so the set is exact whatever the screen keeps.  In a loop
+    all x and y, its row gather L_a of M against its row applied to M by
+    `_lookup`, so the set is exact whatever the screen keeps.  In a loop
     it is a subgroup (Bruck, 1958), which is not checked here."""
-    v, ix = _gather_views(l.mul)
+    v, ix, cells = _gather_views(l.mul)
     keep = np.ones(N_CLASSES, dtype=bool)
     for x in _SCREEN_ROWS:
         # [a, y] holds (a x) y on the left and a (x y) on the right
         keep &= (v.take(ix[:, x], 0) == v.take(ix[x], 1)).all(axis=1)
     return {
-        int(a) for a in np.flatnonzero(keep) if np.array_equal(v.take(ix[a], 0), v[a].take(ix))
+        int(a)
+        for a in np.flatnonzero(keep)
+        if np.array_equal(v.take(ix[a], 0), _lookup(v[a], cells))
     }
 
 

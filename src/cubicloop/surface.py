@@ -276,7 +276,9 @@ def _draw(bound: int, *keys) -> np.ndarray:
         z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB
         h = z ^ (z >> 31)
-    return (h % bound).astype(np.int64)
+    # h mod bound as `kernel._reduce` takes it: numpy runs a uint64 `%` as a
+    # hardware division, and `//` by a scalar as a multiply and a shift
+    return (h - h // bound * bound).astype(np.int64)
 
 
 def lift_digits(classes, n: int, seeds) -> np.ndarray:

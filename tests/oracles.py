@@ -1,7 +1,7 @@
 """Independent brute-force oracles for the residue-class enumeration,
-reference versions of fast lookups and of the batched lift mod 3^19, and
-the tangent-line geometry and Eckhardt lift samples that the acceptance
-tests check.
+reference versions of fast lookups, of the seeded draws and of the batched
+lift mod 3^19, and the tangent-line geometry and Eckhardt lift samples that
+the acceptance tests check.
 
 A canonical tuple mod pi^n (pivot coordinate exactly 1, earlier coordinates
 divisible by pi) is realized by a surface point iff some extension of its
@@ -166,6 +166,20 @@ def eckhardt_lift_samples(samples: int, seed: int, n: int = DEFAULT_PRECISION):
     seed_pairs = _draw(1 << 30, 3, seed, unit[:, None], k[:, None], [1, 2])
     want = M.eckhardt_swaps()[np.arange(3).repeat(samples), classes]
     return M.compose_cells(unit, classes, n, seed_pairs), want
+
+
+def splitmix_draw(bound: int, *keys: int) -> int:
+    """`surface._draw` for Python int keys, in Python ints: the splitmix64
+    hash (Steele et al., OOPSLA 2014) of the keys mod 2^64, in order, mod
+    `bound`."""
+    mask = (1 << 64) - 1
+    h = 0
+    for key in keys:
+        z = (h + key + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        h = z ^ (z >> 31)
+    return h % bound
 
 
 def oracle_lift_pairs(classes, seeds, n):

@@ -524,6 +524,19 @@ class TestFastL4MatchesOracle:
         for limit in (0, 1, 10):
             assert M.find_nonassoc(l, limit) == oracle_nonassoc(l, limit)
 
+    @pytest.mark.parametrize("case", ["U0", "random", "random-transposed"])
+    def test_byte_table_lookup_equals_the_take(self, loop, case):
+        # every row w applied to every cell; the random id table holds the
+        # least and the greatest class id, and its transpose is no
+        # C-contiguous array
+        mul = np.random.default_rng(5).integers(M.N_CLASSES, size=loop.mul.shape, dtype=np.int16)
+        mul = {"U0": loop.mul, "random": mul, "random-transposed": mul.T}[case]
+        assert {0, M.N_CLASSES - 1} <= set(mul.flat)
+        v, ix, cells = M._gather_views(mul)
+        for w in range(M.N_CLASSES):
+            got = M._lookup(v[w], cells)
+            assert got.dtype == np.uint8 and np.array_equal(got, v[w].take(ix)), w
+
     def test_corruptions_reach_both_law6_comparisons(self, table, loop):
         # verify_cml compares law 6 as written only at an x whose row of x^2
         # does not invert its row; each comparison decides one law-6 report
@@ -596,9 +609,11 @@ class TestCorruption:
             triple, left, right = M.witness_sides(t, l)
             assert not M.verify_suites(t, u, 0)[-1].passed
 
-    @pytest.mark.parametrize("bad", [-1, M.N_CLASSES])
+    @pytest.mark.parametrize("bad", [-1, M.N_CLASSES, 255, 256])
     def test_gathers_refuse_an_entry_that_is_no_class(self, loop, bad):
-        # -1 would index from the end; the first bad cell in row order is named
+        # -1 would index from the end, 243 to 255 would read the padding of
+        # the byte table, and 256 would wrap to 0 in the uint8 cast; the
+        # first bad cell in row order is named
         mul = loop.mul.copy()
         mul[9, 2] = mul[5, 7] = bad
         corrupt = M.LoopTable(mul, loop.unit, loop.inv)

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import cubicloop.surface as surface
@@ -244,6 +245,26 @@ class TestLifting:
         a = random_lift(lp, 12, 99)
         b = random_lift(lp, 12, 99)
         assert all(nu(x - y) >= 12 for x, y in zip(a.coords, b.coords))
+
+
+class TestDraw:
+    # 2^63 and 2^64 - 1 set the top bit of the key; 2^64 and -1 wrap mod 2^64
+    KEYS = [0, 1, 242, 1 << 63, (1 << 64) - 1, 1 << 64, -1]
+    KEYS += map(random.Random(47).getrandbits, [64] * 9)
+
+    @pytest.mark.parametrize("bound", [3, 242, 243, 1 << 30, (1 << 62) + 1])
+    def test_equals_the_python_splitmix64(self, bound):
+        keys = np.array(self.KEYS, dtype=object)
+        got = surface._draw(bound, 5, keys[:, None], keys)
+        want = [[oracles.splitmix_draw(bound, 5, a, b) for b in self.KEYS] for a in self.KEYS]
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_int_keys_draw_as_object_keys(self):
+        # the int64 path, keys below 2^63, and the scalar path
+        keys = [k for k in self.KEYS if 0 <= k < 1 << 63]
+        got = surface._draw(243, 2, np.array(keys), 7).tolist()
+        assert got == [oracles.splitmix_draw(243, 2, k, 7) for k in keys]
+        assert surface._draw(243, 2, 1, 7).tolist() == [oracles.splitmix_draw(243, 2, 1, 7)]
 
 
 class TestEnumeration:
