@@ -146,8 +146,8 @@ def _classes_text() -> bytes:
             "id": k,
             "family": lp.family,
             "exp": lp.exp,
-            "digits": list(lp.digits),
-            "rep": [list(d.digits) for d in form.coords],
+            "digits": lp.digits,
+            "rep": form.coords,
         }
         for k, (lp, form) in enumerate(zip(class_params(), class_forms()))
     ]

@@ -7,13 +7,13 @@ The uniformizer is pi = 1 - theta; it satisfies pi^2 = -3*theta and
 Elements carry no precision: the functions that truncate (`to_digits`,
 `reduce_mod`, `invert`, `div_exact`) take the number of pi-adic digits n
 explicitly, and the working precision of a computation lives on the points
-of `surface.ProjPoint`.
+of `surface.ProjPoint`.  Digits are plain tuples (`DigitVector`) of
+balanced pi-adic digits in {-1, 0, 1}, lowest first.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 class PrecisionExhausted(Exception):
@@ -136,17 +136,8 @@ def nu(x: RingElt) -> int | float:
     return _v3(x.norm())
 
 
-@dataclass(frozen=True)
-class DigitVector:
-    """Balanced digits d_i in {-1, 0, 1}; represents sum d_i * pi^i mod pi^n."""
-
-    digits: tuple[int, ...]
-
-    def __len__(self):
-        return len(self.digits)
-
-    def __iter__(self):
-        return iter(self.digits)
+# Balanced digits d_i in {-1, 0, 1}, d_0 first; represents sum d_i * pi^i mod pi^n.
+DigitVector = tuple[int, ...]
 
 
 def _balanced_residue(x: RingElt) -> int:
@@ -170,12 +161,12 @@ def to_digits(x: RingElt, n: int) -> DigitVector:
         d = _balanced_residue(cur)
         digits.append(d)
         cur = divide_by_pi(cur - d)
-    return DigitVector(tuple(digits))
+    return tuple(digits)
 
 
 def from_digits(d: DigitVector) -> RingElt:
     acc = ZERO
-    for digit in reversed(d.digits):
+    for digit in reversed(d):
         acc = acc * PI + digit
     return acc
 

@@ -167,7 +167,7 @@ def _nu(x, k: int) -> np.ndarray:
 
 
 def _digit_code(d: DigitVector) -> int:
-    return sum((digit + 1) * 3**k for k, digit in enumerate(d.digits))
+    return sum((digit + 1) * 3**k for k, digit in enumerate(d))
 
 
 def form_code(form: CanonicalForm) -> int:

@@ -406,14 +406,14 @@ def associator_mask(l: LoopTable) -> np.ndarray:
     return mask
 
 
-def find_nonassoc(l: LoopTable, limit: int = 10) -> list[tuple[int, int, int]]:
-    """First `limit` non-associative triples in lexicographic order."""
+def find_nonassoc(l: LoopTable) -> list[tuple[int, int, int]]:
+    """First ten non-associative triples in lexicographic order."""
     triples = (
         (x, int(y), int(z))
         for x, (left, right) in enumerate(_associator_sides(l))
         for y, z in np.argwhere(left != right)
     )
-    return list(islice(triples, limit))  # stops the search at the limit
+    return list(islice(triples, 10))  # stops the search at the tenth
 
 
 # Elements of the largest temporary array that `ch_check` and `_closures`
@@ -421,17 +421,12 @@ def find_nonassoc(l: LoopTable, limit: int = 10) -> list[tuple[int, int, int]]:
 _CHUNK_ELEMENTS = 1 << 16
 
 
-def _runs(cost: np.ndarray):
-    """Consecutive slices of range(len(cost)), each the longest run from
-    its start whose length times its largest cost is at most
-    `_CHUNK_ELEMENTS`, or one item."""
-    start = 0
-    while start < len(cost):
-        # nondecreasing, so the runs that fit are a prefix
-        fits = np.maximum.accumulate(cost[start:]) * np.arange(1, len(cost) - start + 1)
-        stop = start + max(1, int(np.count_nonzero(fits <= _CHUNK_ELEMENTS)))
-        yield slice(start, stop)
-        start = stop
+def _runs(member: np.ndarray, power: int):
+    """Consecutive slices of the membership rows, each of
+    max(1, `_CHUNK_ELEMENTS` // s**power) rows, s the largest closure."""
+    n = len(member)
+    step = max(1, _CHUNK_ELEMENTS // int(member.sum(axis=1).max(initial=1)) ** power)
+    return (slice(start, min(start + step, n)) for start in range(0, n, step))
 
 
 def _member_lists(member: np.ndarray) -> np.ndarray:
@@ -450,7 +445,7 @@ def _closures(op: np.ndarray, gens) -> np.ndarray:
     member[np.arange(len(gens))[:, None], gens] = True
     while True:
         grown = member.copy()
-        for run in _runs(member.sum(axis=1) ** 2):
+        for run in _runs(member, 2):
             ids = _member_lists(member[run])
             rows = np.arange(len(ids))[:, None, None]
             grown[run][rows, op[ids[:, :, None], ids[:, None, :]]] = True
@@ -484,11 +479,11 @@ def ch_check(t: ClassTable, samples: int = 200, seed: int = 0) -> CheckReport:
     """Any three elements must generate an Abelian subquasigroup: the law
     a *' b = u' o (a o b) on the o-closure is an Abelian group law.  The
     closures of all samples grow together (`_closures`); their laws are
-    tested in runs of draws, each within `_CHUNK_ELEMENTS`, up to the run
-    that holds the first failing triple in draw order."""
+    tested in equal runs of draws sized by the largest closure (`_runs`),
+    up to the run that holds the first failing triple in draw order."""
     triples = _draw(N_CLASSES, 2, seed, np.arange(samples)[:, None], range(3))
     member = _closures(t.circ, triples)
-    for run in _runs(member.sum(axis=1) ** 3):
+    for run in _runs(member, 3):
         failures = _abelian_failures(t.circ, member[run])
         if failures.any():
             k = int(np.argmax(failures > 0))

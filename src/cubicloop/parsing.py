@@ -114,7 +114,7 @@ def parse_point(text: str) -> tuple[RingElt, RingElt, RingElt, RingElt]:
 def format_digits(d: DigitVector) -> str:
     """Render sum d_i * pi^i as a literal, e.g. [1,-1,0] -> '1-p'."""
     parts = []
-    for i, digit in enumerate(d.digits):
+    for i, digit in enumerate(d):
         if digit == 0:
             continue
         sign = "-" if digit < 0 else ("+" if parts else "")

@@ -77,9 +77,7 @@ class CanonicalForm:
     def truncate(self, n: int) -> "CanonicalForm":
         if n > self.depth:
             raise PrecisionExhausted(f"canonical form has only {self.depth} digits")
-        return CanonicalForm(
-            tuple(DigitVector(d.digits[:n]) for d in self.coords), self.pivot
-        )
+        return CanonicalForm(tuple(d[:n] for d in self.coords), self.pivot)
 
     def as_point(self) -> ProjPoint:
         return ProjPoint(tuple(from_digits(d) for d in self.coords), self.depth)

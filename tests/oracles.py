@@ -90,7 +90,7 @@ def liftable_tuples(n: int) -> set:
 
 
 def key(cf: CanonicalForm):
-    return (cf.pivot, tuple(d.digits for d in cf.coords))
+    return (cf.pivot, cf.coords)
 
 
 def tangent_direction(p, rng):

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 import cubicloop.moufang as M
@@ -51,8 +53,8 @@ class TestClassIndexing:
         # one digit more on every coordinate: +27 on the code of coordinate 0
         # carries into coordinate 1, whose first digit is one lower, so the
         # depth-4 form has the code of a class's depth-3 form
-        k, form = next((k, f) for k, f in enumerate(M.class_forms()) if f.coords[1].digits[0] > -1)
-        x0, (d, *x1), x2, x3 = (f.digits for f in form.coords)
+        k, form = next((k, f) for k, f in enumerate(M.class_forms()) if f.coords[1][0] > -1)
+        x0, (d, *x1), x2, x3 = form.coords
         deeper = CanonicalForm(
             (DigitVector((*x0, 0)), DigitVector((d - 1, *x1, -1)),
              DigitVector((*x2, -1)), DigitVector((*x3, -1))),
@@ -306,8 +308,8 @@ class TestLoop:
         assert M.associator_mask(loop)[triple]
 
     def test_find_nonassoc(self, loop):
-        found = M.find_nonassoc(loop, limit=5)
-        assert len(found) == 5
+        found = M.find_nonassoc(loop)
+        assert len(found) == 10
         mul = loop.mul
         for x, y, z in found:
             assert mul[mul[x, y], z] != mul[x, mul[y, z]]
@@ -521,8 +523,7 @@ class TestFastL4MatchesOracle:
         mask = np.stack([left != right for left, right in oracle_associator_sides(l)])
         assert np.array_equal(M.associator_mask(l), mask)
         assert M.nucleus(l) == oracle_nucleus(l)
-        for limit in (0, 1, 10):
-            assert M.find_nonassoc(l, limit) == oracle_nonassoc(l, limit)
+        assert M.find_nonassoc(l) == oracle_nonassoc(l, 10)
 
     @pytest.mark.parametrize("case", ["U0", "random", "random-transposed"])
     def test_byte_table_lookup_equals_the_take(self, loop, case):
@@ -711,3 +712,16 @@ class TestCorruption:
             if k in passes_the_earlier_reports:
                 last = M.verify_suites(bad, unit, 0)[-1]
                 assert (last.name, last.passed) == ("eckhardt swaps", False), (k, a, b)
+
+
+class TestRuns:
+    @given(st.lists(st.integers(1, M.N_CLASSES), max_size=300), st.sampled_from([2, 3]))
+    def test_runs_cover_the_batch_within_the_bound(self, sizes, power):
+        # a batch of 0 rows is what ch_check(samples=0) reaches
+        member = np.arange(M.N_CLASSES) < np.array(sizes, dtype=int)[:, None]
+        runs = list(M._runs(member, power))
+        assert [i for run in runs for i in range(len(sizes))[run]] == list(range(len(sizes)))
+        assert len({run.stop - run.start for run in runs[:-1]}) <= 1  # equal but the last
+        for run in runs:
+            n = run.stop - run.start
+            assert n == 1 or n * max(sizes[run]) ** power <= M._CHUNK_ELEMENTS
