@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .eisenstein import PI, DigitVector, RingElt, invert, to_digits
+from .eisenstein import ONE, PI, DigitVector, RingElt, invert, to_digits
 from .surface import (
     FREE_INDICES,
     HENSEL_CRITERION,
@@ -67,11 +67,13 @@ def residue_dtype(k: int) -> type[np.signedinteger]:
 # dtype's minimum + 3^k.  The lift reduces every product before it adds:
 # its largest unreduced intermediates are single products, at most
 # (3^k - 1)^2 from 0, such as N * y and y(2 - Ny) in `_unit_inverse` (2 - Ny
-# is reduced first) and the norm N = a^2 - ab + b^2 <= max(a, b)^2, whose
-# partial sum a(a - b) is at least -(3^k - 1)^2 / 4; x^2 * x + rest adds two
-# reduced residues, rest three, and a bump two products of a digit in -1..1
-# and a residue.  So 4(3^k - 1)^2 bounds both stages.  At k = 20 a single
-# product would overflow int64.
+# is reduced first, and y < 3^9 as the table gives it) and the norm N = a^2
+# - ab + b^2 <= max(a, b)^2, whose partial sum a(a - b) is at least
+# -(3^k - 1)^2 / 4; x^2 * x + rest adds two reduced residues, rest
+# 1 + y^3 + theta*w^3 three, and a bumped coordinate a residue and the sum
+# of four products of a digit in -1..1 and a residue, at most 4(3^k - 1)
+# from 0.  So 4(3^k - 1)^2 bounds both stages.  At k = 20 a single product
+# would overflow int64.
 if any(
     4 * (3**k - 1) ** 2 >= np.iinfo(residue_dtype(k)).max + 1 - 3**k for k in range(2, K + 1)
 ):
@@ -114,16 +116,41 @@ def _times_theta(x, mod: int):
     return _reduce(-b, mod), _reduce(a - b, mod)
 
 
-def _unit_inverse(x, k: int):
-    """Inverse mod 3^k of units a + b*theta: conj(x) / N(x), with 1/N by the
+# `_unit_inverse` reads 1/N mod 3^min(k, _TABLE_DIGITS) from a table and
+# reaches k from there.  3^9 int32 entries take 77 KB and serve the default
+# n = 12 (k = 9) with no step; 3^10 int64 entries would take 472 KB to save
+# one step at k = 10 and k = 19 only.
+_TABLE_DIGITS = 9
+
+
+@lru_cache(maxsize=None)
+def _norm_inverses(j: int) -> np.ndarray:
+    """1/N mod 3^j for N in [0, 3^j), in int32, and 0 where N = 0 mod 3: the
     integer Newton step y <- y(2 - N*y), which doubles the correct digits of
-    y: from one digit, (k - 1).bit_length() steps reach k."""
+    y, (j - 1).bit_length() times from y = N mod 3 (N = +-1 mod 3 is its own
+    inverse mod 3, and y = 0 stays 0)."""
+    mod = 3**j
+    norm = np.arange(mod, dtype=np.int64)
+    y = _reduce(norm, 3)
+    for _ in range((j - 1).bit_length()):
+        y = _reduce(y * _reduce(2 - norm * y, mod), mod)
+    return y.astype(np.int32)
+
+
+def _unit_inverse(x, k: int):
+    """Inverse mod 3^k of units a + b*theta: conj(x) / N(x), with 1/N read
+    mod 3^j, j = min(k, _TABLE_DIGITS), from `_norm_inverses(j)` and taken
+    on to 3^k by Newton steps y <- y(2 - N*y): one for k <= 18, two at
+    k = 19.  The inverse mod 3^k is unique, so every route gives the same
+    residues."""
     mod = 3**k
     a, b = x
     norm = _reduce(a * a - a * b + b * b, mod)
-    y = _reduce(norm, 3)  # N = +-1 mod 3 is its own inverse mod 3
-    for _ in range((k - 1).bit_length()):
+    j = min(k, _TABLE_DIGITS)
+    y = _norm_inverses(j).take(norm if j == k else _reduce(norm, 3**j))
+    while j < k:
         y = _reduce(y * _reduce(2 - norm * y, mod), mod)
+        j *= 2
     return _reduce((a - b) * y, mod), _reduce(-b * y, mod)
 
 
@@ -179,8 +206,9 @@ def form_code(form: CanonicalForm) -> int:
 
 @lru_cache(maxsize=1)
 def _quotient_digits() -> np.ndarray:
-    """Indexed by (9a + b, 9c + d) for x = a + b*theta and a unit w = c +
-    d*theta mod 9 (= mod pi^4): the code of the first three digits of x / w."""
+    """Indexed by 81(9a + b) + 9c + d for x = a + b*theta and a unit w = c +
+    d*theta mod 9 (= mod pi^4): the code of the first three digits of x / w.
+    Flat, so that a block reads it with one `take`."""
     # int16 holds every value and keeps the 81 x 81 temporaries small
     digits = np.zeros(81, dtype=np.int16)
     inv_a = np.zeros(81, dtype=np.int16)
@@ -194,7 +222,7 @@ def _quotient_digits() -> np.ndarray:
                 inv_a[9 * a + b], inv_b[9 * a + b] = w.a % 9, w.b % 9
     x = np.arange(81, dtype=np.int16)[:, None]
     qa, qb = _mul((x // 9, x % 9), (inv_a, inv_b), 9)
-    return digits[9 * qa + qb]
+    return digits[9 * qa + qb].ravel()
 
 
 @lru_cache(maxsize=None)
@@ -233,13 +261,33 @@ _NEWTON_STEPS = 4
 @lru_cache(maxsize=1)
 def _class_data():
     """Per class: the residues of its tuple mod pi^3, its Hensel and free
-    coordinate indices; and the residues of pi^3 and pi^4."""
+    coordinate indices; and the residues of pi^3 and pi^4.  Raises
+    AssertionError unless, in every family, the coordinate that is neither
+    the Hensel one nor free is 1 and the second free one is t_3, as
+    `lift_pairs` takes it."""
     params = all_params()
-    a, b = to_pairs([ProjPoint(residue_tuple(lp)) for lp in params])
+    tuples = [residue_tuple(lp) for lp in params]
+    for lp, coords in zip(params, tuples):
+        (y, w), h = FREE_INDICES[lp.family], HENSEL_INDEX[lp.family]
+        # y, h are two of 0, 1, 2, so 3 - y - h is the third
+        if w != 3 or coords[3 - y - h] != ONE:
+            raise AssertionError(f"class {lp}: {coords} is not 1 beside t_{h}, t_{y} and t_3")
+    a, b = to_pairs([ProjPoint(t) for t in tuples])
     hensel = np.array([HENSEL_INDEX[lp.family] for lp in params])
     free = np.array([FREE_INDICES[lp.family] for lp in params])
     bumps = tuple((x.a % MOD, x.b % MOD) for x in (PI3, PI3 * PI))
     return a, b, hensel, free, bumps
+
+
+@lru_cache(maxsize=None)
+def _bump_coefficients(k: int, bumps) -> tuple[np.ndarray, np.ndarray]:
+    """The a and the b residues mod 3^k of pi^3, theta*pi^3, pi^4 and
+    theta*pi^4, from the residue pairs `bumps` of pi^3 and pi^4: the bump
+    (d0 + d1*theta)pi^3 + (d2 + d3*theta)pi^4 of a free coordinate has the
+    components d @ a and d @ b, unreduced."""
+    mod = 3**k
+    coeffs = [c for x in bumps for c in (x, _times_theta(x, mod))]
+    return tuple(np.array([c[i] % mod for c in coeffs], dtype=residue_dtype(k)) for i in (0, 1))
 
 
 def lift_exponent(n: int) -> int:
@@ -281,25 +329,24 @@ def lift_pairs(
     mod, dtype = 3**k, residue_dtype(k)
     classes = np.asarray(classes, dtype=np.int64)
     m = len(classes)
-    a, b = (_reduce(x[classes], mod).astype(dtype) for x in (base_a, base_b))
+    # the 243 class rows reduced, then gathered; nothing derived from
+    # `_class_data` is cached, so a replaced `_class_data` takes effect
+    a, b = (_reduce(x, mod).astype(dtype)[classes] for x in (base_a, base_b))
     t = min(n, MAX_LIFT_PRECISION)
     rows = np.arange(m)
+    at = rows[:, None], free[classes]
+    y = a[at], b[at]  # the free coordinates, shape (m, 2)
     if seeds is not None:
         # the pi^3 and pi^4 bumps of both free coordinates at once
         d = lift_digits(classes, n, seeds).astype(dtype).reshape(m, 2, 4)
-        pi3, pi4 = (tuple(c % mod for c in x) for x in bumps)
-        bump = _add(
-            _mul((d[..., 0], d[..., 1]), pi3, mod), _mul((d[..., 2], d[..., 3]), pi4, mod), mod
-        )
-        at = rows[:, None], free[classes]
-        a[at], b[at] = _add((a[at], b[at]), bump, mod)
-    # F = x^3 + rest with x the Hensel coordinate (index 1 or 2, whose
-    # form coefficient is 1) and rest the sum of c_j t_j^3 over the others.
+        y = tuple(_reduce(c + d @ w, mod) for c, w in zip(y, _bump_coefficients(k, bumps)))
+        a[at], b[at] = y
+    # F = x^3 + rest with x the Hensel coordinate (index 1 or 2, whose form
+    # coefficient is 1) and rest = 1 + y^3 + theta*w^3: the pivot 1 and the
+    # free coordinates y and w = t_3 (`_class_data`).
     h = hensel[classes]
-    ca, cb = _mul(_mul((a, b), (a, b), mod), (a, b), mod)
-    ca[:, 3], cb[:, 3] = _times_theta((ca[:, 3], cb[:, 3]), mod)
-    ca[rows, h] = cb[rows, h] = 0
-    rest = _reduce(ca.sum(axis=1, dtype=dtype), mod), _reduce(cb.sum(axis=1, dtype=dtype), mod)
+    ca, cb = _mul(_mul(y, y, mod), y, mod)
+    rest = _reduce(1 + ca[:, 0] - cb[:, 1], mod), _reduce(cb[:, 0] + ca[:, 1] - cb[:, 1], mod)
     x = a[rows, h], b[rows, h]
     for step in range(_NEWTON_STEPS + 1):
         x2 = _mul(x, x, mod)
@@ -381,5 +428,5 @@ def _block_codes(coords, i, j, k: int) -> np.ndarray:
     c = 9 * ca + cb
     # three digits of each coordinate over the pivot, a unit after the division
     w = c[pivot, np.arange(len(i))]
-    codes = (_quotient_digits()[c, w] * _CODE_WEIGHTS).sum(axis=0)
+    codes = (_quotient_digits().take(81 * c + w) * _CODE_WEIGHTS).sum(axis=0)
     return np.where(ok, codes + 27**4 * pivot, -1)

@@ -5,7 +5,6 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
 
 import numpy as np
 
@@ -302,11 +301,15 @@ def _gather_views(mul: np.ndarray) -> tuple[np.ndarray, np.ndarray, bytearray]:
 _PAD = bytes([255]) * (256 - N_CLASSES)
 
 
+def _translate(row: np.ndarray, cells: bytearray) -> bytearray:
+    """The bytes of `_lookup(row, cells)`."""
+    return cells.translate(row.tobytes() + _PAD)
+
+
 def _lookup(row: np.ndarray, cells: bytearray) -> np.ndarray:
     """The 243x243 uint8 array row[cells]: the uint8 row of a loop table
     applied to each class id of `cells`, in row order."""
-    values = cells.translate(row.tobytes() + _PAD)
-    return np.frombuffer(values, np.uint8).reshape(N_CLASSES, N_CLASSES)
+    return np.frombuffer(_translate(row, cells), np.uint8).reshape(N_CLASSES, N_CLASSES)
 
 
 def verify_cml(l: LoopTable) -> list[CheckReport]:
@@ -407,13 +410,25 @@ def associator_mask(l: LoopTable) -> np.ndarray:
 
 
 def find_nonassoc(l: LoopTable) -> list[tuple[int, int, int]]:
-    """First ten non-associative triples in lexicographic order."""
-    triples = (
-        (x, int(y), int(z))
-        for x, (left, right) in enumerate(_associator_sides(l))
-        for y, z in np.argwhere(left != right)
-    )
-    return list(islice(triples, 10))  # stops the search at the tenth
+    """First ten non-associative triples in lexicographic order.  For each x
+    in turn, (xy)z is gathered into a bytearray and compared with the bytes
+    of x(yz) in one memcmp; only a row whose sides differ is searched, until
+    ten triples are found."""
+    v, ix, cells = _gather_views(l.mul)
+    left_bytes = bytearray(N_CLASSES * N_CLASSES)
+    left = np.frombuffer(left_bytes, np.uint8).reshape(N_CLASSES, N_CLASSES)
+    found = []
+    for x in range(N_CLASSES):
+        # `_gather_views` checked every id; take buffers `out` under mode="raise"
+        v.take(ix[x], 0, out=left, mode="clip")
+        right = _translate(v[x], cells)
+        if left_bytes == right:
+            continue
+        diff = np.flatnonzero(left.ravel() != np.frombuffer(right, np.uint8))
+        found += [(x, *map(int, divmod(c, N_CLASSES))) for c in diff[: 10 - len(found)]]
+        if len(found) == 10:
+            break
+    return found
 
 
 # Elements of the largest temporary array that `ch_check` and `_closures`

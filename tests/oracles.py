@@ -182,10 +182,26 @@ def splitmix_draw(bound: int, *keys: int) -> int:
     return h % bound
 
 
+def newton_unit_inverse(x, k: int):
+    """`kernel._unit_inverse` without its table: the inverse mod 3^k of
+    units a + b*theta, conj(x) / N(x), with 1/N by the integer Newton step
+    y <- y(2 - N*y), which doubles the correct digits of y: from one digit,
+    (k - 1).bit_length() steps reach k."""
+    mod = 3**k
+    a, b = x
+    norm = kernel._reduce(a * a - a * b + b * b, mod)
+    y = kernel._reduce(norm, 3)  # N = +-1 mod 3 is its own inverse mod 3
+    for _ in range((k - 1).bit_length()):
+        y = kernel._reduce(y * kernel._reduce(2 - norm * y, mod), mod)
+    return kernel._reduce((a - b) * y, mod), kernel._reduce(-b * y, mod)
+
+
 def oracle_lift_pairs(classes, seeds, n):
     """`kernel.lift_pairs` with every step mod 3^K = 3^19 in int64, at
-    every n: the residue pairs and the mask.  It takes the same Newton steps
-    on the Hensel coordinate, inverting 3x^2 in five integer Newton steps."""
+    every n: the residue pairs and the mask.  It cubes all four coordinates
+    of the bumped class tuple and takes the same Newton steps on the Hensel
+    coordinate, inverting 3x^2 by `newton_unit_inverse`, five integer Newton
+    steps and no table."""
     mod = kernel.MOD
     base_a, base_b, hensel, free, (pi3, pi4) = kernel._class_data()
     classes = np.asarray(classes, dtype=np.int64)
@@ -218,7 +234,7 @@ def oracle_lift_pairs(classes, seeds, n):
             criterion = v >= HENSEL_CRITERION
         if step == kernel._NEWTON_STEPS or np.all(v >= t):
             break
-        dx = kernel._mul((f[0] // 3, f[1] // 3), kernel._unit_inverse(x2, kernel.K), mod)
+        dx = kernel._mul((f[0] // 3, f[1] // 3), newton_unit_inverse(x2, kernel.K), mod)
         x = kernel._reduce(x[0] - dx[0], mod), kernel._reduce(x[1] - dx[1], mod)
     a[rows, h], b[rows, h] = x
     return (a, b), criterion & (v >= t)

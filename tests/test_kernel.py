@@ -3,6 +3,7 @@ the exact RingElt path and the lift mod 3^K."""
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from hypothesis import strategies as st
 import cubicloop.moufang as M
 import oracles
 from cubicloop import kernel
-from cubicloop.eisenstein import PrecisionExhausted, RingElt, nu
+from cubicloop.eisenstein import PI, PrecisionExhausted, RingElt, nu
 from cubicloop.surface import (
     HENSEL_INDEX,
+    PI3,
     DegenerateLine,
     PointsCoincide,
     ProjPoint,
@@ -185,6 +187,45 @@ def test_unit_inverse():
         for xa, xb, ya, yb in zip(*x, *inverse):
             one = RingElt(int(xa), int(xb)) * RingElt(int(ya), int(yb))
             assert (one.a % mod, one.b % mod) == (1, 0)
+
+
+def test_norm_inverse_table():
+    # every unit mod 3^9 times its entry is 1; a non-unit reads 0
+    mod = 3**9
+    table = kernel._norm_inverses(9)
+    units = np.arange(mod) % 3 != 0
+    assert table.dtype == np.int32 and len(table) == mod
+    assert (np.arange(mod, dtype=np.int64)[units] * table[units] % mod == 1).all()
+    assert not table[~units].any()
+
+
+@pytest.mark.parametrize("k", [3, 8, 9, 10, 19])
+def test_bump_coefficients_give_the_ring_bump(k):
+    # (d0 + d1 theta) pi^3 + (d2 + d3 theta) pi^4 for all 81 digit vectors
+    mod = 3**k
+    ca, cb = kernel._bump_coefficients(k, kernel._class_data()[4])
+    assert ca.dtype == cb.dtype == kernel.residue_dtype(k)
+    for d in itertools.product((-1, 0, 1), repeat=4):
+        bump = RingElt(d[0], d[1]) * PI3 + RingElt(d[2], d[3]) * PI3 * PI
+        assert (int(np.dot(d, ca)) % mod, int(np.dot(d, cb)) % mod) == (bump.a % mod, bump.b % mod)
+
+
+@pytest.mark.parametrize(("c", "pivot"), [(0, 0), (100, 0), (200, 1)])
+def test_class_tuple_without_pivot_one_is_refused(monkeypatch, c, pivot):
+    # classes 0, 100 and 200 are of families P, Q and R; the lift takes the
+    # coordinate beside the Hensel and the free ones as 1, and a tuple equal
+    # to 1 only mod pi^3 there is refused when the class data are built
+    real = kernel.residue_tuple
+
+    def moved(lp):
+        coords = list(real(lp))
+        if lp == M.class_params()[c]:
+            coords[pivot] = coords[pivot] + PI3
+        return tuple(coords)
+
+    monkeypatch.setattr(kernel, "residue_tuple", moved)
+    with pytest.raises(AssertionError, match=re.escape(f"class {M.class_params()[c]}:")):
+        kernel._class_data.__wrapped__()
 
 
 def residues(k):
