@@ -249,7 +249,7 @@ class TestLoop:
         assert all(report.passed for report in M.verify_cml(loop))
 
     def test_left_inverse_property(self, table):
-        # so verify_cml compares law 6 through the inverse at every x
+        # so verify_cml decides law 6 from law 5 at every x
         for u in range(M.N_CLASSES):
             assert left_inverse_rows(M.loop_from(table, u).mul).all(), u
 
@@ -380,6 +380,16 @@ def corrupted_loops(table, loop):
     row[0, [1, 14]] = rows[0, [1, 14]] = loop.mul[0, [14, 1]]
     sq0, hit = loop.mul[0, 0], loop.mul[0, [1, 14]]
     rows[sq0, hit] = loop.mul[sq0, hit[::-1]]
+    # x^2 of the least x whose partner x^2 is below it moved, so that the
+    # new x^2 does not square to x; and two entries swapped in the row of
+    # the least p above the unit whose partner p^2 is above it, so that
+    # the row of p^2 no longer inverts the row of p
+    sq, ids = loop.mul.diagonal(), np.arange(M.N_CLASSES)
+    diagonal, partner_row = loop.mul.copy(), loop.mul.copy()
+    x = np.flatnonzero(sq < ids)[0]
+    diagonal[x, x] = (sq[x] + 1) % M.N_CLASSES
+    p = np.flatnonzero((sq > ids) & (ids > loop.unit))[0]
+    partner_row[p, [1, 2]] = loop.mul[p, [2, 1]]
     return {
         name: M.LoopTable(mul, loop.unit, loop.inv)
         for name, mul in (
@@ -388,8 +398,22 @@ def corrupted_loops(table, loop):
             ("inverse-cell", cell),
             ("swapped-row", row),
             ("swapped-rows", rows),
+            ("diagonal", diagonal),
+            ("partner-row", partner_row),
         )
     }
+
+
+def magma_product(b):
+    """The table, unit 0, of the product of the 3x3 table `b` with Z_3^4,
+    the pair (c, g) as class 81 c + g.  Z_3^4 is an abelian group, so
+    an n^3 law, and x^2(xa) = a for all a, holds at (c, g) exactly when
+    it holds at c in `b`; x^2 is (c^2, -g)."""
+    c, g = np.divmod(np.arange(M.N_CLASSES), 81)
+    digits, place = g[:, None] // 3 ** np.arange(4) % 3, 3 ** np.arange(4)
+    group = (digits[:, None] + digits) % 3 @ place
+    mul = 81 * np.asarray(b)[c[:, None], c] + group
+    return M.LoopTable(mul, 0, np.arange(M.N_CLASSES))
 
 
 def corrupted_tables(table, trials):
@@ -512,6 +536,7 @@ class TestFastL4MatchesOracle:
         [
             "U0", "unit-100", "unit-0", "unit-242",
             "symmetric", "unit-row", "inverse-cell", "swapped-row", "swapped-rows",
+            "diagonal", "partner-row",
         ],
     )
     def test_checks_equal_the_oracle(self, table, loop, case):
@@ -539,14 +564,100 @@ class TestFastL4MatchesOracle:
             assert got.dtype == np.uint8 and np.array_equal(got, v[w].take(ix)), w
 
     def test_corruptions_reach_both_law6_comparisons(self, table, loop):
-        # verify_cml compares law 6 as written only at an x whose row of x^2
-        # does not invert its row; each comparison decides one law-6 report
+        # verify_cml compares law 6 as written at an x whose row of x^2 does
+        # not invert its row, and at one where law 5 fails; each comparison
+        # decides one law-6 report
         loops = corrupted_loops(table, loop)
         row, rows = loops["swapped-row"], loops["swapped-rows"]
         assert not left_inverse_rows(row.mul)[0]
         assert oracle_cml(row)[-1][3][0] == 0
         assert left_inverse_rows(rows.mul).all()
         assert not oracle_cml(rows)[-1][1]
+
+    def test_corruptions_reach_both_pair_guards(self, table, loop):
+        # x is skipped only if its partner p = x^2 is below it, p^2 = x and
+        # the row of p^2 inverts the row of p; "diagonal" breaks the second
+        # at an x that was paired with a class below it, "partner-row" the
+        # third at the smaller member of a pair
+        sq, ids = loop.mul.diagonal(), np.arange(M.N_CLASSES)
+        paired = sq[sq] == ids
+        loops = corrupted_loops(table, loop)
+        mul = loops["diagonal"].mul
+        (x,) = np.flatnonzero(mul.diagonal() != sq)
+        assert sq[x] < x and paired[x]
+        assert mul[x, x] < x and mul[mul[x, x], mul[x, x]] != x
+        mul = loops["partner-row"].mul
+        (p,) = np.flatnonzero((mul != loop.mul).any(axis=1))
+        assert p < sq[p] and paired[p] and np.array_equal(mul.diagonal(), sq)
+        assert not left_inverse_rows(mul)[p]
+
+    @pytest.mark.parametrize(
+        "b",
+        [
+            # unit 0, and 1^2 = 0 < 1, but 0^2 is 0, not 1: law 5 fails first
+            # at x = 81, the pair (1, 0), after it held at x^2 = 0, and only
+            # the guard p^2 = x has x computed
+            [[0, 1, 2], [1, 0, 2], [2, 1, 0]],
+            # 0 and 1 square to each other; law 5 holds at 0, not at 1, and
+            # no row of x^2 inverts the row of x: law 5 fails first at x =
+            # 81, and only the guard on the row of p = 0 has x computed
+            [[1, 1, 1], [0, 0, 1], [0, 0, 0]],
+            # xy = y + 1: law 5 holds everywhere, law 6 nowhere, and no row
+            # of x^2 inverts the row of x: only the guard on the row of x
+            # has law 6 compared
+            [[1, 2, 0]] * 3,
+        ],
+        ids=["square-not-paired", "pair-without-inverse", "law5-without-inverse"],
+    )
+    def test_each_guard_keeps_the_first_failure(self, b):
+        l = magma_product(b)
+        got = [(r.name, r.passed, r.checks, r.counterexample) for r in M.verify_cml(l)]
+        assert got == oracle_cml(l)
+        assert not (got[-2][1] and got[-1][1])
+
+    def test_one_cell_corruptions_equal_the_oracle(self, table):
+        # 6 one-sided changes of the loop table and 6 symmetric changes of
+        # the class table, each in the loop of a drawn unit
+        rng = np.random.default_rng(31)
+        for k in range(12):
+            u, i, j = (int(v) for v in rng.integers(M.N_CLASSES, size=3))
+            shift = int(rng.integers(1, M.N_CLASSES))
+            if k < 6:
+                l = M.loop_from(table, u)
+                l.mul[i, j] = (l.mul[i, j] + shift) % M.N_CLASSES
+            else:
+                circ = table.circ.copy()
+                circ[i, j] = circ[j, i] = (circ[i, j] + shift) % M.N_CLASSES
+                l = M.loop_from(M.ClassTable(circ, table.precision, table.seed), u)
+            got = [(r.name, r.passed, r.checks, r.counterexample) for r in M.verify_cml(l)]
+            assert got == oracle_cml(l), (k, u, i, j)
+            assert not all(passed for _, passed, _, _ in got), (k, u, i, j)
+
+    def test_law5_is_computed_at_one_x_of_each_pair(self, table, loop, monkeypatch):
+        # one value lookup per computed x, one more per x where law 6 is
+        # compared as written: in the loops of the table x^2 pairs the 242
+        # non-units, so 1 + 121 x are computed, and law 6 is never compared
+        # as written
+        calls = []
+        translate = M._translate
+
+        def counted(row, cells):
+            calls.append(row)
+            return translate(row, cells)
+
+        monkeypatch.setattr(M, "_translate", counted)
+        for l in (loop, M.loop_from(table, 0), M.loop_from(table, 242)):
+            calls.clear()
+            assert all(r.passed for r in M.verify_cml(l))
+            assert len(calls) == 122
+        # in the cyclic group Z_243, x^2 = 2x pairs only 81 and 162, and the
+        # row of 2x inverts the row of x only where 3x = 0: 242 x are
+        # computed, and law 6 is compared as written at all but 0 and 81
+        ids = np.arange(M.N_CLASSES)
+        cyclic = M.LoopTable((ids[:, None] + ids) % M.N_CLASSES, 0, -ids % M.N_CLASSES)
+        calls.clear()
+        assert all(r.passed for r in M.verify_cml(cyclic))
+        assert len(calls) == 242 + 240
 
     def test_nucleus_checks_every_survivor_of_its_screen(self, loop):
         # one cell of row 6 changed: each member of the intact nucleus 9-17
