@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .eisenstein import ONE, PI, DigitVector, RingElt, invert, to_digits
+from .eisenstein import ONE, PI, DigitVector, RingElt, to_digits
 from .surface import (
     FREE_INDICES,
     HENSEL_CRITERION,
@@ -209,20 +209,11 @@ def _quotient_digits() -> np.ndarray:
     """Indexed by 81(9a + b) + 9c + d for x = a + b*theta and a unit w = c +
     d*theta mod 9 (= mod pi^4): the code of the first three digits of x / w.
     Flat, so that a block reads it with one `take`."""
-    # int16 holds every value and keeps the 81 x 81 temporaries small
-    digits = np.zeros(81, dtype=np.int16)
-    inv_a = np.zeros(81, dtype=np.int16)
-    inv_b = np.zeros(81, dtype=np.int16)
-    for a in range(9):
-        for b in range(9):
-            x = RingElt(a, b)
-            digits[9 * a + b] = _digit_code(to_digits(x, _DIGITS))
-            if (a + b) % 3:
-                w = invert(x, _DIGITS)
-                inv_a[9 * a + b], inv_b[9 * a + b] = w.a % 9, w.b % 9
-    x = np.arange(81, dtype=np.int16)[:, None]
-    qa, qb = _mul((x // 9, x % 9), (inv_a, inv_b), 9)
-    return digits[9 * qa + qb].ravel()
+    x = np.arange(81, dtype=np.int16)  # keeps the 81 x 81 temporaries in int32
+    inv = _unit_inverse((x // 9, x % 9), 2)  # 0 at the non-units
+    qa, qb = _mul((x[:, None] // 9, x[:, None] % 9), inv, 9)
+    digits = [_digit_code(to_digits(RingElt(a, b), _DIGITS)) for a in range(9) for b in range(9)]
+    return np.array(digits, dtype=np.int16)[9 * qa + qb].ravel()  # int16 holds every code
 
 
 @lru_cache(maxsize=None)

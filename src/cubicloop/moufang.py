@@ -32,18 +32,6 @@ _SLOTS = 1975  # the least modulus at which the class codes and the refusal -1 d
 LIFT_SAMPLES = 20
 
 
-class AdmissibilityViolation(Exception):
-    """Two representative pairs of the same classes composed to different
-    classes.  Fatal: it would falsify the admissibility of the mod-pi^3
-    relation, so it always signals a bug.  `sample` is the (i, j, sample) of
-    the first mismatch, and `matched` the samples that passed before it."""
-
-    def __init__(self, message: str, sample: tuple[int, int, int], matched: int):
-        super().__init__(message)
-        self.sample = sample
-        self.matched = matched
-
-
 class_params = all_params  # the 243 labels, indexed by class id
 
 
@@ -200,7 +188,8 @@ def build_class_table(
     n, the diagonal on two random lifts at max(n, 38), where two lifts of
     one class separate.  For `admissibility_cells` random cells,
     LIFT_SAMPLES extra random representative pairs are composed and must
-    land in the same class."""
+    land in the same class; AssertionError names the first that does not,
+    as `check_admissibility` reports it."""
     iu, ju = np.triu_indices(N_CLASSES, k=1)
     cells = compose_cells(iu, ju, n)
     ids = np.arange(N_CLASSES)
@@ -212,7 +201,9 @@ def build_class_table(
     circ[ids, ids] = diag
     table = ClassTable(circ, n, seed)
     if admissibility_cells > 0:
-        check_admissibility(table, admissibility_cells, LIFT_SAMPLES, seed)
+        _, cx = check_admissibility(table, admissibility_cells, LIFT_SAMPLES, seed)
+        if cx is not None:
+            raise AssertionError(f"admissibility fails at (i, j, sample, class composed) {cx}")
     return table
 
 
@@ -223,25 +214,21 @@ _ADMISSIBILITY_KEY = 116123
 
 def check_admissibility(
     table: ClassTable, cells: int, samples_per_cell: int, seed: int
-) -> tuple[int, int]:
+) -> tuple[int, tuple[int, int, int, int] | None]:
     """Re-derive sampled cells from independent random lifts, all composed
-    at once.  The first mismatch, in the order the samples are drawn, raises
-    AdmissibilityViolation; returns (passes, 0), the pair the benchmark reads."""
+    at once.  Returns (passes, counterexample): the samples that matched
+    before the first mismatch, in the order they are drawn, and that
+    mismatch as (i, j, sample, class composed); or all samples and None.
+    The benchmark reads passes."""
     cell = np.arange(cells).repeat(samples_per_cell)[:, None]
     i, j = _draw(N_CLASSES, _ADMISSIBILITY_KEY, seed, cell, [0, 1]).T
     seed_pairs = _draw(1 << 30, _ADMISSIBILITY_KEY, seed, np.arange(len(cell))[:, None], [2, 3])
     got = compose_cells(i, j, table.precision, seed_pairs)
-    expected = table.circ[i, j]
-    bad = np.flatnonzero(got != expected)
-    if len(bad):
-        k = int(bad[0])
-        raise AdmissibilityViolation(
-            f"cell ({i[k]},{j[k]}) sample {k % samples_per_cell}: "
-            f"got class {got[k]}, table says {expected[k]}",
-            (int(i[k]), int(j[k]), k % samples_per_cell),
-            k,
-        )
-    return len(cell), 0
+    bad = np.flatnonzero(got != table.circ[i, j])
+    if not len(bad):
+        return len(cell), None
+    k = int(bad[0])
+    return k, (int(i[k]), int(j[k]), k % samples_per_cell, int(got[k]))
 
 
 def _mismatch(left: np.ndarray, right: np.ndarray, *x: int) -> tuple | None:
@@ -420,22 +407,13 @@ def associator_mask(l: LoopTable) -> np.ndarray:
 
 
 def find_nonassoc(l: LoopTable) -> list[tuple[int, int, int]]:
-    """First ten non-associative triples in lexicographic order.  For each x
-    in turn, (xy)z is gathered into a bytearray and compared with the bytes
-    of x(yz) in one memcmp; only a row whose sides differ is searched, until
-    ten triples are found."""
-    v, ix, cells = _gather_views(l.mul)
-    left_bytes = bytearray(N_CLASSES * N_CLASSES)
-    left = np.frombuffer(left_bytes, np.uint8).reshape(N_CLASSES, N_CLASSES)
+    """First ten non-associative triples in lexicographic order, read from
+    `_associator_sides` one x at a time until ten are found."""
     found = []
-    for x in range(N_CLASSES):
-        # `_gather_views` checked every id; take buffers `out` under mode="raise"
-        v.take(ix[x], 0, out=left, mode="clip")
-        right = _translate(v[x], cells)
-        if left_bytes == right:
-            continue
-        diff = np.flatnonzero(left.ravel() != np.frombuffer(right, np.uint8))
-        found += [(x, *map(int, divmod(c, N_CLASSES))) for c in diff[: 10 - len(found)]]
+    for x, (left, right) in enumerate(_associator_sides(l)):
+        # flatnonzero: argwhere is ten times slower on a row's ~35,000 triples
+        diff = np.flatnonzero(left != right)[: 10 - len(found)]
+        found += [(x, *map(int, divmod(c, N_CLASSES))) for c in diff]
         if len(found) == 10:
             break
     return found
@@ -588,10 +566,11 @@ def _suite_reports(t: ClassTable, unit: int, seed: int):
     yield verify_quasigroup(t)
     l = loop_from(t, unit)  # reached only once t is a quasigroup
     yield from verify_cml(l)
-    try:
-        passes, _ = check_admissibility(t, 50, LIFT_SAMPLES, seed)
-    except AdmissibilityViolation as exc:
-        yield CheckReport("admissibility", False, exc.matched, exc.sample, str(exc))
+    passes, cx = check_admissibility(t, 50, LIFT_SAMPLES, seed)
+    if cx is not None:
+        i, j, sample, got = cx
+        detail = f"got class {got}, table says {t.circ[i, j]}"
+        yield CheckReport("admissibility", False, passes, (i, j, sample), detail)
         return
     yield CheckReport("admissibility", True, passes)
     triple, left, right = witness_sides(t, l)

@@ -12,12 +12,11 @@ import random
 import time
 
 import numpy as np
-import pytest
 
 import oracles
 import cubicloop.moufang as M
 import cubicloop.surface as S
-from cubicloop.eisenstein import ONE, PI, THETA, PrecisionExhausted, nu
+from cubicloop.eisenstein import ONE, PI, THETA, PrecisionExhausted
 from cubicloop.surface import (
     LambdaParams,
     PointsCoincide,

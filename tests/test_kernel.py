@@ -135,7 +135,7 @@ def kernel_only(monkeypatch):
 
 def test_samples_above_the_lift_bound_stay_in_the_kernel(table, monkeypatch, kernel_only):
     n = kernel.MAX_LIFT_PRECISION + 1
-    assert M.check_admissibility(M.ClassTable(table.circ, n, 0), 50, 20, 0) == (1000, 0)
+    assert M.check_admissibility(M.ClassTable(table.circ, n, 0), 50, 20, 0) == (1000, None)
     # A tuple of class 1 off the surface (nu(F) = 0) fails the Hensel
     # criterion: its lift is refused, and chords to a code of no class, so
     # the sample is refused, not a KeyError, only if the code is masked first.
@@ -304,14 +304,14 @@ def admissibility_draws(cells, samples, seed):
             yield i, j, s, tuple(pair.tolist())
 
 
-def serial_violation(table, cells, samples, seed):
-    """The message of the first violation, composing one sample at a time."""
-    for i, j, s, pair in admissibility_draws(cells, samples, seed):
+def serial_admissibility(table, cells, samples, seed):
+    """(matched, counterexample) of `check_admissibility`, composing one
+    sample at a time on the exact path."""
+    for matched, (i, j, s, pair) in enumerate(admissibility_draws(cells, samples, seed)):
         got = M.compose_classes(i, j, table.precision, seed_pair=pair)
-        want = table.circ[i, j]
-        if got != want:
-            return f"cell ({i},{j}) sample {s}: got class {got}, table says {want}"
-    return None
+        if got != table.circ[i, j]:
+            return matched, (i, j, s, got)
+    return cells * samples, None
 
 
 def test_refused_lift_raises_naming_its_cell(table, monkeypatch):
@@ -350,7 +350,7 @@ def test_same_class_samples_stay_in_the_kernel(table, monkeypatch, kernel_only):
         return lift_pairs(classes, seeds, n)
 
     monkeypatch.setattr(kernel, "lift_pairs", counted)
-    assert M.check_admissibility(table, 50, 20, 0) == (1000, 0)
+    assert M.check_admissibility(table, 50, 20, 0) == (1000, None)
     # the refused samples are retried once, at 38
     assert rungs == [12, 38]
 
@@ -361,12 +361,16 @@ def test_corrupted_table_fails_on_the_serial_first_sample(table):
     i, j, _, _ = draws[4 * 3]
     circ[i, j] = circ[j, i] = (circ[i, j] + 1) % M.N_CLASSES
     bad = M.ClassTable(circ, table.precision, table.seed)
-    message = serial_violation(bad, 6, 4, 2)
-    assert message.startswith(f"cell ({i},{j}) sample 0:")
-    with pytest.raises(M.AdmissibilityViolation) as err:
-        M.check_admissibility(bad, 6, 4, 2)
-    assert str(err.value) == message
-    assert (err.value.sample, err.value.matched) == ((i, j, 0), 4 * 3)
+    matched, cx = serial_admissibility(bad, 6, 4, 2)
+    assert (matched, cx[:3]) == (4 * 3, (i, j, 0))
+    assert M.check_admissibility(bad, 6, 4, 2) == (matched, cx)
+
+
+def test_build_names_the_admissibility_mismatch(monkeypatch):
+    cx = (3, 5, 7, 11)
+    monkeypatch.setattr(M, "check_admissibility", lambda *args: (140, cx))
+    with pytest.raises(AssertionError, match=re.escape(str(cx))):
+        M.build_class_table(12, admissibility_cells=1)
 
 
 @pytest.fixture(scope="module")

@@ -534,14 +534,16 @@ class TestFastL4MatchesOracle:
     @pytest.mark.parametrize(
         "case",
         [
-            "U0", "unit-100", "unit-0", "unit-242",
+            "U0", "unit-100", "unit-0", "unit-5", "unit-242",
             "symmetric", "unit-row", "inverse-cell", "swapped-row", "swapped-rows",
             "diagonal", "partner-row",
         ],
     )
     def test_checks_equal_the_oracle(self, table, loop, case):
-        # the benchmark's verify workload cycles through every unit
-        loops = {"U0": loop, **{f"unit-{u}": M.loop_from(table, u) for u in (100, 0, 242)}}
+        # the benchmark's verify workload cycles through every unit; in the
+        # loops of units 0 and 5 rows 0 to 8 are associative, so
+        # find_nonassoc passes nine rows before its first triple
+        loops = {"U0": loop, **{f"unit-{u}": M.loop_from(table, u) for u in (100, 0, 5, 242)}}
         l = {**loops, **corrupted_loops(table, loop)}[case]
         got = [(r.name, r.passed, r.checks, r.counterexample) for r in M.verify_cml(l)]
         assert got == oracle_cml(l)
@@ -794,8 +796,8 @@ class TestCorruption:
 
     def test_admissibility_detects_corruption(self, table):
         bad = M.ClassTable((table.circ + 1) % M.N_CLASSES, table.precision, table.seed)
-        with pytest.raises(M.AdmissibilityViolation):
-            M.check_admissibility(bad, 2, 1, 0)
+        passes, cx = M.check_admissibility(bad, 2, 1, 0)
+        assert passes == 0 and cx is not None
 
 
     def test_eckhardt_check_names_the_first_failure(self, table):
