@@ -179,6 +179,19 @@ def compose_cells(
     )
 
 
+@lru_cache(maxsize=1)
+def _triangle() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cells i < j of the table: their rows and columns, and the flat
+    indices of (i, j) and of (j, i), shape (2, 29403); all read-only, and in
+    int16 and int32, which keep the cache at 353 KB."""
+    iu, ju = np.triu_indices(N_CLASSES, k=1)
+    flat = np.stack([iu * N_CLASSES + ju, ju * N_CLASSES + iu], dtype=np.int32)
+    iu, ju = iu.astype(np.int16), ju.astype(np.int16)
+    for x in (iu, ju, flat):
+        x.flags.writeable = False
+    return iu, ju, flat
+
+
 def build_class_table(
     n: int = DEFAULT_PRECISION, seed: int = 0, admissibility_cells: int = 500
 ) -> ClassTable:
@@ -190,16 +203,15 @@ def build_class_table(
     LIFT_SAMPLES extra random representative pairs are composed and must
     land in the same class; AssertionError names the first that does not,
     as `check_admissibility` reports it."""
-    iu, ju = np.triu_indices(N_CLASSES, k=1)
+    iu, ju, flat = _triangle()
     cells = compose_cells(iu, ju, n)
     ids = np.arange(N_CLASSES)
     seed_pairs = np.tile((2 * seed, 2 * seed + 1), (N_CLASSES, 1))
     diag = compose_cells(ids, ids, max(n, kernel.MAX_LIFT_PRECISION), seed_pairs)
-    circ = np.empty((N_CLASSES, N_CLASSES), dtype=np.int16)
-    circ[iu, ju] = cells
-    circ[ju, iu] = cells
-    circ[ids, ids] = diag
-    table = ClassTable(circ, n, seed)
+    circ = np.empty(N_CLASSES**2, dtype=np.int16)
+    circ[flat] = cells
+    circ[:: N_CLASSES + 1] = diag
+    table = ClassTable(circ.reshape(N_CLASSES, N_CLASSES), n, seed)
     if admissibility_cells > 0:
         _, cx = check_admissibility(table, admissibility_cells, LIFT_SAMPLES, seed)
         if cx is not None:

@@ -172,8 +172,9 @@ def test_lifts_short_of_n_after_newton_are_refused(monkeypatch):
 
 
 def test_unit_inverse():
-    # every modulus the lift uses, in its dtype (int32 up to k = 9), on
-    # random units and on the residues nearest 3^k, where products are largest
+    # every modulus the lift uses, in its dtype (int16 up to k = 4, int32 up
+    # to k = 9), on random units and on the residues nearest 3^k, where
+    # products are largest
     rng = np.random.default_rng(0)
     for k in range(3, kernel.K + 1):
         mod, dtype = 3**k, kernel.residue_dtype(k)
@@ -270,28 +271,49 @@ def test_every_chord_exponent_fits_its_dtype(monkeypatch):
     for k in exponents:
         dtype = kernel.residue_dtype(k)
         assert 4 * (3**k - 1) ** 2 < np.iinfo(dtype).max + 1 - 3**k
-        assert (dtype == np.int32) == (k <= 9)
-    # int32 up to precision 13 (k = 9), int64 from 14 (k = 10)
+        assert dtype == (np.int16 if k <= 4 else np.int32 if k <= 9 else np.int64)
+    # int16 up to precision 8 (k = 4), int32 up to 13 (k = 9), int64 from 14
     block_codes, seen = kernel._block_codes, []
 
     def recorded(coords, i, j, k):
-        seen.append((k, coords[0].dtype))
-        return block_codes(coords, i, j, k)
+        codes = block_codes(coords, i, j, k)
+        seen.append((k, coords[0].dtype, i, j, codes))
+        return codes
 
     monkeypatch.setattr(kernel, "_block_codes", recorded)
-    # the lift at the default precision 12 works mod 3^9, in int32
-    pairs, _ = kernel.lift_pairs([0, 100], None, 12)
+    # the lift at precision 7 works mod 3^4, in int16; at the default
+    # precision 12 mod 3^9, in int32
+    assert {x.dtype for x in kernel.lift_pairs([0, 100], [1, 2], 7)[0]} == {np.dtype(np.int16)}
+    pairs, _ = kernel.lift_pairs(range(M.N_CLASSES), None, 12)
     assert pairs[0].dtype == pairs[1].dtype == np.int32
-    for prec in (6, 12, 13, 14, 24, 60):
-        kernel.chord_codes(pairs, [0], [1], prec)
-    assert seen == [
-        (2, np.int32), (8, np.int32), (9, np.int32), (10, np.int64),
-        (kernel.K, np.int64), (kernel.K, np.int64),
+    # a single cell is one block at every precision
+    for prec in (6, 8, 9, 12, 13, 14, 24, 60):
+        kernel.chord_codes(pairs, [0], [100], prec)
+    assert [block[:2] for block in seen] == [
+        (2, np.int16), (4, np.int16), (5, np.int32), (8, np.int32), (9, np.int32),
+        (10, np.int64), (kernel.K, np.int64), (kernel.K, np.int64),
     ]
     # below precision 6 (k < 2) no vmin <= k - 2 exists: every cell is
     # refused, uncomputed
     assert kernel.chord_codes(pairs, [0, 1], [1, 0], 5).tolist() == [-1, -1]
-    assert len(seen) == 6
+    assert len(seen) == 8
+    # More than one block of k = 8 (2,048 int32 cells) at precision 12: every
+    # cell in int16 blocks of 4,096 at k = 4, then in int32 at k = 8 exactly
+    # the 972 cells refused there, the pairs of classes that agree mod pi^2.
+    seen.clear()
+    i, j = np.triu_indices(M.N_CLASSES, k=1)
+    codes = kernel.chord_codes(pairs, i, j, 12)
+    first = [block for block in seen if block[0] == 4]
+    assert [block[:2] for block in seen] == [(4, np.int16)] * 8 + [(8, np.int32)]
+    assert [len(block[2]) for block in first] == [4096] * 7 + [731]
+    for x, want in ((2, i), (3, j)):
+        assert np.array_equal(np.concatenate([block[x] for block in first]), want)
+    refused = np.flatnonzero(np.concatenate([block[4] for block in first]) < 0)
+    assert len(refused) == 972
+    (_, _, i8, j8, codes8), = seen[8:]
+    assert np.array_equal(i8, i[refused]) and np.array_equal(j8, j[refused])
+    assert np.array_equal(codes[refused], codes8)
+    assert np.array_equal(codes, kernel._pass_codes(pairs, i, j, 8))
 
 
 def admissibility_draws(cells, samples, seed):
@@ -462,23 +484,27 @@ def python_int_code(p, q, prec):
 @settings(max_examples=100, deadline=None)
 @given(
     st.lists(st.integers(1, 3**4), min_size=16, max_size=16),
-    # 13 is int32's tightest exponent (k = 9), 14 the first int64 one
-    st.sampled_from([6, 12, 13, 14, 24, 38]),
+    # (precision, copies of the cells): 8 is int16's tightest exponent
+    # (k = 4), 13 int32's (k = 9), 14 the first int64 one; 410 copies at 12
+    # (2,050 cells, past one int32 block) run the int16 pass at k = 4, where
+    # every residue of point 0 is -1 mod 3^4 too
+    st.sampled_from([(6, 1), (8, 1), (12, 1), (12, 410), (13, 1), (14, 1), (24, 1), (38, 1)]),
 )
-def test_residues_near_mod_do_not_overflow(below, prec):
+def test_residues_near_mod_do_not_overflow(below, run):
     # the kernel works mod 3^k; every residue of point 0 is 3^k - 1, where
     # each product and sum of the kernel is largest; points 1 and 2 are
     # drawn near 3^k
+    prec, copies = run
     mod = 3 ** kernel.chord_exponent(prec)
     near = [(mod - d) % mod for d in below]
     top = [mod - 1] * 4
     a = np.array([top, near[0:4], near[8:12]], dtype=np.int64)
     b = np.array([top, near[4:8], near[12:16]], dtype=np.int64)
     cells = [(0, 1), (1, 0), (0, 2), (1, 2), (2, 2)]
-    i, j = np.array(cells).T
+    i, j = np.tile(np.array(cells).T, copies)
     got = kernel.chord_codes((a, b), i, j, prec)
     points = to_points((a, b), prec)
-    assert got.tolist() == [python_int_code(points[x], points[y], prec) for x, y in cells]
+    assert got.tolist() == [python_int_code(points[x], points[y], prec) for x, y in cells] * copies
 
 
 def test_chords_deeper_than_k_minus_2_are_refused():
