@@ -65,17 +65,6 @@ K = 19
 MOD = 3**K
 
 
-@lru_cache(maxsize=None)
-def residue_dtype(k: int) -> type[np.signedinteger]:
-    """The dtype of residues mod 3^k: the narrowest of int16 (k <= 4), int32
-    (k <= 9) and int64 where every sum of the kernel fits.  Cached: a batch
-    reads it a few times, and `np.iinfo` costs microseconds."""
-    for dtype in (np.int16, np.int32):
-        if 4 * (3**k - 1) ** 2 < np.iinfo(dtype).max + 1 - 3**k:
-            return dtype
-    return np.int64
-
-
 # A product of two residues in [0, 3^k) has both components within
 # (3^k - 1)^2 of 0: 0 <= ac, bd <= (3^k - 1)^2, and ad + b(c - d) lies in
 # [0, (3^k - 1)c] when c >= d and in [-b(d - c), ad] when c < d.
@@ -90,11 +79,18 @@ def residue_dtype(k: int) -> type[np.signedinteger]:
 # 1 + y^3 + theta*w^3 three, and a bumped coordinate a residue and the sum
 # of four products of a digit in -1..1 and a residue, at most 4(3^k - 1)
 # from 0.  So 4(3^k - 1)^2 bounds both stages.  At k = 20 a single product
-# would overflow int64.
-if any(
-    4 * (3**k - 1) ** 2 >= np.iinfo(residue_dtype(k)).max + 1 - 3**k for k in range(2, K + 1)
-):
-    raise AssertionError(f"sums of residue products mod 3^k, k <= {K}, overflow their dtype")
+# would overflow int64.  `_INT16_K` below calls `residue_dtype` for every k
+# the kernel uses, so the module refuses to load if one has no dtype.
+@lru_cache(maxsize=None)
+def residue_dtype(k: int) -> type[np.signedinteger]:
+    """The dtype of residues mod 3^k: the narrowest of int16 (k <= 4), int32
+    (k <= 9) and int64 (k <= 19) where every sum of the kernel fits.  Cached:
+    a batch reads it a few times, and `np.iinfo` costs microseconds."""
+    for dtype in (np.int16, np.int32, np.int64):
+        if 4 * (3**k - 1) ** 2 < np.iinfo(dtype).max + 1 - 3**k:
+            return dtype
+    raise AssertionError(f"sums of residue products mod 3^{k} overflow int64")
+
 
 # Bytes of one residue row of a block: 1,024 int64, 2,048 int32 or 4,096
 # int16 cells, which keeps the temporaries of one block near 1 MB.

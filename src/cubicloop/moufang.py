@@ -431,8 +431,9 @@ def find_nonassoc(l: LoopTable) -> list[tuple[int, int, int]]:
     return found
 
 
-# Elements of the largest temporary array that `ch_check` and `_closures`
-# build for one run of samples (a run holds one sample at least).
+# Elements of the largest temporary array that `ch_check` (s^3 a draw, the
+# two sides of a law on class ids) and `_closures` (s^2 a draw) build for
+# one run of samples, s the largest closure; a run holds one sample at least.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -469,40 +470,31 @@ def _closures(op: np.ndarray, gens) -> np.ndarray:
         member = grown
 
 
-def _abelian_failures(circ: np.ndarray, member: np.ndarray) -> np.ndarray:
-    """Per closure (a membership row): 0 if the law a *' b = u' o (a o b),
-    u' its least class, is commutative and associative, else 1 if it is not
-    commutative and 2 if it is not associative.  The closures are
-    relabelled by rank and padded by `_member_lists`; a padded index acts
-    as the least class, so it only repeats checks."""
-    ids = _member_lists(member)
-    rank = np.cumsum(member, axis=1, dtype=np.int16) - 1
-    g = np.arange(len(ids))[:, None, None]
-    sub = rank[g, circ[ids[:, :, None], ids[:, None, :]]]
-    m = sub[g, 0, sub].astype(np.uint8)  # [g, a, b] = u' o (a o b)
-    commutative = (m == m.transpose(0, 2, 1)).all(axis=(1, 2))
-    # [g, a, x, y] holds (ax)y on the left, a gather of rows of m, and
-    # a(xy) on the right, a gather of its cells
-    k = ids.shape[1]
-    left = m.reshape(-1, k).take(g * k + m, axis=0)
-    right = m.take(((g * k + np.arange(k)[:, None]) * k)[..., None] + m[:, None])
-    associative = (left == right).all(axis=(1, 2, 3))
-    return np.where(commutative, np.where(associative, 0, 2), 1)
-
-
 def ch_check(t: ClassTable, samples: int = 200, seed: int = 0) -> CheckReport:
     """Any three elements must generate an Abelian subquasigroup: the law
-    a *' b = u' o (a o b) on the o-closure is an Abelian group law.  The
-    closures of all samples grow together (`_closures`); their laws are
-    tested in equal runs of draws sized by the largest closure (`_runs`),
-    up to the run that holds the first failing triple in draw order."""
+    a *' b = u' o (a o b) on the o-closure, u' its least class, is
+    commutative and associative.  The closures of all samples grow together
+    (`_closures`); their laws are tested on class ids, in equal runs of
+    draws sized by the largest closure (`_runs`), up to the run that holds
+    the first failing triple in draw order.  A member that `_member_lists`
+    pads with is u', so it only repeats checks."""
     triples = _draw(N_CLASSES, 2, seed, np.arange(samples)[:, None], range(3))
     member = _closures(t.circ, triples)
+    flat = t.circ.ravel()
     for run in _runs(member, 3):
-        failures = _abelian_failures(t.circ, member[run])
-        if failures.any():
-            k = int(np.argmax(failures > 0))
-            detail = ("not commutative", "not associative")[failures[k] - 1]
+        ids = _member_lists(member[run])
+        a, x = ids[:, :, None], ids[:, None, :]
+        ax = flat.take(N_CLASSES * a + x)  # [g, a, x] = a o x
+        m = t.circ[ids[:, :1, None], ax].astype(np.intp)  # a *' x
+        commutative = (m == m.transpose(0, 2, 1)).all(axis=(1, 2))
+        # [g, a, x, y] holds (a *' x) *' y and a *' (x *' y)
+        u = N_CLASSES * ids[:, :1, None, None]
+        left = flat.take(u + flat.take(N_CLASSES * m[..., None] + x[..., None, :]))
+        right = flat.take(u + flat.take(N_CLASSES * a[..., None] + m[:, None]))
+        associative = (left == right).all(axis=(1, 2, 3))
+        if not (commutative & associative).all():
+            k = int(np.argmin(commutative & associative))
+            detail = "not associative" if commutative[k] else "not commutative"
             cx = tuple(triples[run][k].tolist())
             return CheckReport("ch-closure abelian", False, run.start + k, cx, detail)
     return CheckReport("ch-closure abelian", True, samples)

@@ -272,6 +272,9 @@ def test_every_chord_exponent_fits_its_dtype(monkeypatch):
         dtype = kernel.residue_dtype(k)
         assert 4 * (3**k - 1) ** 2 < np.iinfo(dtype).max + 1 - 3**k
         assert dtype == (np.int16 if k <= 4 else np.int32 if k <= 9 else np.int64)
+    # k = 20, past K: a single product overflows int64, so no dtype fits
+    with pytest.raises(AssertionError):
+        kernel.residue_dtype(kernel.K + 1)
     # int16 up to precision 8 (k = 4), int32 up to 13 (k = 9), int64 from 14
     block_codes, seen = kernel._block_codes, []
 

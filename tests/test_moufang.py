@@ -493,14 +493,14 @@ def ch_triples(samples, seed):
     return [tuple(_draw(M.N_CLASSES, 2, seed, k, range(3)).tolist()) for k in range(samples)]
 
 
-def ch_corrupted(table, cell, symmetric, sample):
+def ch_corrupted(table, cell, symmetric, sample, seed=0):
     """The table with `cell` moved to the next member of the closure of
-    the seed-0 triple `sample`, and with its mirror cell too if `symmetric`;
-    the table itself if `cell` is None."""
+    the triple `sample` drawn at `seed`, and with its mirror cell too if
+    `symmetric`; the table itself if `cell` is None."""
     circ = table.circ.copy()
     if cell is not None:
         a, b = cell
-        closed = sorted(oracle_closure(table.circ, ch_triples(200, 0)[sample]))
+        closed = sorted(oracle_closure(table.circ, ch_triples(200, seed)[sample]))
         circ[a, b] = closed[(closed.index(circ[a, b]) + 1) % len(closed)]
         if symmetric:
             circ[b, a] = circ[a, b]
@@ -758,26 +758,46 @@ class TestCorruption:
             assert got == ((i[first], j[first], 0), first * M.LIFT_SAMPLES)
 
     @pytest.mark.parametrize(
-        "cell, symmetric, first",
-        [(None, False, None), ((34, 12), True, 5), ((34, 12), False, 5), ((12, 89), True, 5),
-         ((12, 89), False, 5), ((27, 43), True, 100), ((27, 43), False, 100)],
+        "cell, symmetric, first, seed",
+        [(None, False, None, 0), ((34, 12), True, 5, 0), ((34, 12), False, 5, 0),
+         ((12, 89), True, 5, 0), ((12, 89), False, 5, 0), ((27, 43), True, 100, 0),
+         ((27, 43), False, 100, 0), ((219, 70), True, 27, 0), ((219, 70), False, 27, 0),
+         ((173, 84), True, 150, 1), ((173, 84), False, 150, 1), ((105, 9), True, 190, 2),
+         ((105, 9), False, 190, 2)],
         ids=["intact", "symmetric-34-12", "one-sided-34-12", "symmetric-12-89", "one-sided-12-89",
-             "symmetric-27-43", "one-sided-27-43"],
+             "symmetric-27-43", "one-sided-27-43", "symmetric-219-70", "one-sided-219-70",
+             "seed-1-symmetric-173-84", "seed-1-one-sided-173-84", "seed-2-symmetric-105-9",
+             "seed-2-one-sided-105-9"],
     )
-    def test_ch_check_equals_the_oracle(self, table, cell, symmetric, first):
-        # the cell, inside the closure of the seed-0 triple `first`, moves to
-        # the next member of that closure; a symmetric change keeps the
-        # closure's law commutative but not associative.  (27, 43) is in no
-        # closure before triple 100's; closures up to there have at most 9
-        # classes, so a run of draws from the first holds fewer than 100
+    def test_ch_check_equals_the_oracle(self, table, cell, symmetric, first, seed):
+        # the cell, inside the closure of the triple `first` drawn at `seed`,
+        # moves to the next member of that closure and of no closure before
+        # it; a symmetric change keeps the closure's law commutative but not
+        # associative.  Except where (34, 12) changes, which grows a later
+        # closure to 81 classes, every closure has at most 9, so a run holds
+        # fewer than 100 draws: (27, 43) fails in seed 0's second run and
+        # (105, 9) in seed 2's third.  Seed 0's triple 27 and seed 1's triple
+        # 150 close on 3 classes, padded to 9 in their run
         assert M._CHUNK_ELEMENTS // 9**3 < 100
-        bad = ch_corrupted(table, cell, symmetric, first)
-        report = M.ch_check(bad, 200, 0)
+        bad = ch_corrupted(table, cell, symmetric, first, seed)
+        report = M.ch_check(bad, 200, seed)
         got = (report.passed, report.checks, report.counterexample, report.detail)
-        assert got == oracle_ch_check(bad, 200, 0)
+        assert got == oracle_ch_check(bad, 200, seed)
         if cell is not None:
             detail = "not associative" if symmetric else "not commutative"
-            assert got == (False, first, ch_triples(200, 0)[first], detail)
+            assert got == (False, first, ch_triples(200, seed)[first], detail)
+
+    def test_ch_check_tests_the_law_itself(self, table):
+        # seed 0's triple 27 closes on {70, 120, 219}.  Moving 70 o 120 and
+        # 120 o 70 to 70 leaves row 70, the least class's, no bijection of
+        # the closure, yet the law a *' b = 70 o (a o b) stays commutative
+        # and associative.  (a *' x) o y = a o (x *' y) fails there, so a
+        # check that compared those, not the law, would differ from the oracle
+        bad = ch_corrupted(table, (70, 120), True, 27)
+        assert sorted(set(bad.circ[70, [70, 120, 219]].tolist())) == [70, 120]
+        report = M.ch_check(bad, 200, 0)
+        got = (report.passed, report.checks, report.counterexample, report.detail)
+        assert got == oracle_ch_check(bad, 200, 0) == (True, 200, None, "")
 
     def test_ch_check_memory_stays_within_its_runs(self, table):
         # the corruption grows the closure of the last triple to 81 classes;
